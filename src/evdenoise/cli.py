@@ -19,8 +19,8 @@ from .eventconv import QuantitySet
 from .graph import VolumeSpec
 from .kogtl import LabelingConfig, kogtl_pipeline, read_frame_dir, write_pgm
 from .synth import build_training_set, generate, preset_scene
-from .transformer import (DenoiseModel, TrainConfig, load_model,
-                          predict_stream, save_model, train)
+from .transformer import (DenoiseModel, SequentialDecider, TrainConfig,
+                          load_model, predict_stream, save_model, train)
 
 
 class _ModelFilter:
@@ -29,25 +29,15 @@ class _ModelFilter:
     name = "gnnt"
 
     def __init__(self, model: DenoiseModel, geometry):
-        from .graph import RecencyStore, build_graph, normalize_graph
         self.model = model
         self.geometry = geometry
-        self._mods = (RecencyStore, build_graph, normalize_graph)
         self.reset()
 
     def reset(self):
-        RecencyStore, _, _ = self._mods
-        self.store = RecencyStore(self.geometry, capacity=max(1, self.model.volume.N_max))
+        self._decider = SequentialDecider(self.model, self.geometry)
 
     def step(self, e):
-        _, build_graph, normalize_graph = self._mods
-        spec = self.model.volume
-        if not self.geometry.contains(e.x, e.y):
-            return -1
-        g = normalize_graph(build_graph(e, self.store.query(e, spec), spec), spec)
-        probs = self.model.classify_graphs([g])
-        self.store.insert(e)
-        return int(self.model.decide(probs)[0])
+        return self._decider.step(e)
 
     def run_batch(self, stream):
         decisions, _ = predict_stream(stream, self.model, mode="batch")

@@ -244,40 +244,29 @@ def batch_neighbor_indices(t: np.ndarray, x: np.ndarray, y: np.ndarray,
     return out
 
 
-def padded_node_features(xi, yi, ti, nx, ny, nt, nmask, spec: VolumeSpec):
+def padded_node_features(nodes: np.ndarray, nmask: np.ndarray, spec: VolumeSpec):
     """Normalized node-feature tensor for a batch of local volumes.
 
-    xi/yi/ti: (B,) interest coordinates; nx/ny/nt: (B, N_max) neighbor
-    coordinates with nmask marking real entries.  Returns (feats, mask) of
-    shapes (B, N_max + 1, 3) and (B, N_max + 1, 1), interest node first,
+    nodes: (B, N_max + 1, 3) integer (x, y, t), interest node first, then
+    the neighbors, with nmask (B, N_max) marking real neighbor entries.
+    Returns (feats, mask) of shapes (B, N_max + 1, 3) and (B, N_max + 1, 1),
     with the same affine map as normalize_graph (padded slots are zero).
     """
     lo, hi = 0.05, 0.95
     span = hi - lo
-    B, cap = nx.shape
-    feats = np.zeros((B, cap + 1, 3), dtype=np.float64)
-    mask = np.zeros((B, cap + 1, 1), dtype=np.float64)
-    mask[:, 0, 0] = 1.0
-    mask[:, 1:, 0] = nmask.astype(np.float64)
-
-    if spec.L > 0:
-        ix = lo + span * spec.L / (2 * spec.L)
-        fx = lo + span * (nx - (xi[:, None] - spec.L)) / (2 * spec.L)
-        fy = lo + span * (ny - (yi[:, None] - spec.L)) / (2 * spec.L)
-    else:
-        ix = 0.5
-        fx = np.full((B, cap), 0.5)
-        fy = np.full((B, cap), 0.5)
-    it = lo + span * spec.T_us / spec.T_us
-    ft = lo + span * (nt - (ti[:, None] - spec.T_us)) / spec.T_us
-
-    feats[:, 0, 0] = ix
-    feats[:, 0, 1] = ix
-    feats[:, 0, 2] = it
-    feats[:, 1:, 0] = np.where(nmask, fx, 0.0)
-    feats[:, 1:, 1] = np.where(nmask, fy, 0.0)
-    feats[:, 1:, 2] = np.where(nmask, ft, 0.0)
-    return feats, mask
+    B, m, _ = nodes.shape
+    real = np.ones((B, m, 1), dtype=bool)
+    real[:, 1:, 0] = nmask
+    # window origin (x_i - L, y_i - L, t_i - T) and extent (2L, 2L, T); with
+    # L = 0, x and y map to 0.5 instead
+    origin = nodes[:, :1] - np.array([spec.L, spec.L, spec.T_us])
+    extent = np.array([2 * spec.L or 1, 2 * spec.L or 1, spec.T_us], dtype=np.float64)
+    feats = span * (nodes - origin)
+    feats /= extent
+    feats += lo
+    if spec.L == 0:
+        feats[:, :, :2] = 0.5
+    return np.where(real, feats, 0.0), real.astype(np.float64)
 
 
 def features_from_batch_indices(t, x, y, nbr_idx, spec: VolumeSpec):
@@ -285,22 +274,18 @@ def features_from_batch_indices(t, x, y, nbr_idx, spec: VolumeSpec):
     output.  Rows for out-of-bounds events (all -1 neighbors plus an
     out-of-bounds interest pixel) are still emitted; callers skip them."""
     nmask = nbr_idx >= 0
-    safe = np.where(nmask, nbr_idx, 0)
-    return padded_node_features(x, y, t, x[safe], y[safe], t[safe], nmask, spec)
+    rows = np.concatenate([np.arange(len(t))[:, None],
+                           np.where(nmask, nbr_idx, 0)], axis=1)
+    return padded_node_features(np.stack([x, y, t], axis=1)[rows], nmask, spec)
 
 
 def node_features_single(e: Event, neighbors: List[GraphNode], spec: VolumeSpec):
     """padded_node_features for one event and its queried neighbor list."""
     cap = max(1, spec.N_max)
-    nx = np.zeros((1, cap), dtype=np.int64)
-    ny = np.zeros((1, cap), dtype=np.int64)
-    nt = np.zeros((1, cap), dtype=np.int64)
-    nmask = np.zeros((1, cap), dtype=bool)
-    for j, nb in enumerate(neighbors[:cap]):
-        nx[0, j], ny[0, j], nt[0, j] = nb.x, nb.y, nb.t
-        nmask[0, j] = True
-    return padded_node_features(np.array([e.x]), np.array([e.y]),
-                                np.array([e.t]), nx, ny, nt, nmask, spec)
+    nbrs = neighbors[:cap]
+    nodes = np.zeros((1, cap + 1, 3), dtype=np.int64)
+    nodes[0, : len(nbrs) + 1] = [(e.x, e.y, e.t), *((nb.x, nb.y, nb.t) for nb in nbrs)]
+    return padded_node_features(nodes, np.arange(cap)[None] < len(nbrs), spec)
 
 
 def graphs_from_batch_indices(stream: EventStream, spec: VolumeSpec,

@@ -10,21 +10,21 @@ published rather than the conventional cross-attention wiring).
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .events import Event, EventStream, LABEL_NOISE, LABEL_REAL
+from .events import Event, EventStream, SensorGeometry
 from .eventconv import (EventConvParams, QuantitySet, eventconv_forward_batch,
-                        pad_quantity_batch, quantities_padded, quantities_tape,
-                        signature_batch_np)
+                        pack_eventconv, pad_quantity_batch, quantities_padded,
+                        quantities_tape, signature_batch_np)
 from .graph import (NormalizedGraph, RecencyStore, VolumeSpec,
-                    batch_neighbor_indices, build_graph,
-                    features_from_batch_indices, graphs_from_batch_indices,
-                    node_features_single, normalize_graph)
+                    batch_neighbor_indices, features_from_batch_indices,
+                    node_features_single)
 from .nn import tensor as T
 from .nn.tensor import AdamState, Parameter, Tensor
 
@@ -172,70 +172,137 @@ def decoder_forward(enc_out, layers: Sequence[DecoderLayerParams]) -> Tensor:
     return z
 
 
-# -- pure-numpy inference fast path ----------------------------------------
-# Same arithmetic as the tape forward (head projections are stacked into one
-# GEMM per block, which is associativity-free and therefore bit-identical),
-# but without per-op graph bookkeeping.  Streaming prediction routes through
-# these for throughput; training and gradient checks use the tape ops.
+# -- packed inference plan ---------------------------------------------------
+# Streaming prediction evaluates the model through an InferencePlan: its
+# weights packed once into a few GEMM operands and run in plain numpy,
+# without per-op tape bookkeeping.  Training and gradient checks use the
+# tape ops.
+#
+# Every pre-norm residual block (an encoder attention or FFN, a decoder's
+# pair of attention blocks, a decoder FFN) is  x + act(LN(x) @ W + b) @ Wo.
+# The LayerNorm's gain and bias fold into W:
+#     LN(x) @ W = ((x - mean) * inv) @ (diag(gain) W) + bias @ W,
+# with inv = 1/sqrt(var + eps) per token; centering is one GEMM against
+# C = I - 11^T/D, shared by every block of the plan.  Both
+# decoder attention blocks read the same layer input (as published), so
+# they share one normalization and run as one attention over all their
+# heads, and the stacked [wo1; wo2] projection sums their outputs.
+# Summation order differs from the tape forward, so the two agree to
+# rounding (the release gate holds them to 1e-10), not bit for bit.
 
-def _np_layer_norm(v: np.ndarray, ln: LayerNormParams) -> np.ndarray:
-    # reductions over the short feature axis run as one GEMM against a ones
-    # vector, which is much faster than ufunc reduce on a length-4 axis
-    n = v.shape[-1]
-    ones = np.full((n, 1), 1.0 / n)
-    mu = v @ ones
-    m2 = (v * v) @ ones
-    var = np.maximum(m2 - mu * mu, 0.0)   # one-pass variance, cancellation-safe
-    a = ln.gain.value / np.sqrt(var + T.LAYER_NORM_EPS)
-    return a * v + (ln.bias.value - a * mu)
+class _Block(NamedTuple):
+    w_in: np.ndarray                # (D, P): diag(gain) W
+    b_in: np.ndarray                # (P,): bias @ W, plus the FFN's b1
+    w_out: np.ndarray               # (P_out, D)
+    b_out: Optional[np.ndarray]     # (D,) FFN output bias; None for attention
+    heads: int                      # attention heads; 0 for an FFN block
+
+
+def _fold_norm(ln: LayerNormParams, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """diag(gain) w and bias @ w, so that LN(x) @ w = xhat @ first + second."""
+    return ln.gain.value[:, None] * w, ln.bias.value @ w
+
+
+def _attention_block(pairs: Sequence[Tuple[LayerNormParams, MHAParams]]) -> _Block:
+    """One block for every (norm, attention) pair that reads the same input.
+
+    Projection columns run q, k, v, each over the heads of every pair in
+    order; the 1/sqrt(d_q) score scale is folded into the q columns.
+    """
+    scale = 1.0 / np.sqrt(pairs[0][1].head_dim)
+    ws, bs = [], []
+    for part, s in (("wq", scale), ("wk", 1.0), ("wv", 1.0)):
+        for ln, mha in pairs:
+            w, b = _fold_norm(ln, np.concatenate(
+                [p.value for p in getattr(mha, part)], axis=1) * s)
+            ws.append(w)
+            bs.append(b)
+    return _Block(np.concatenate(ws, axis=1), np.concatenate(bs),
+                  np.concatenate([mha.wo.value for _, mha in pairs]),
+                  None, sum(len(mha.wq) for _, mha in pairs))
+
+
+def _ffn_block(ln: LayerNormParams, ffn: FFNParams) -> _Block:
+    w, b = _fold_norm(ln, ffn.w1.value)
+    return _Block(w, b + ffn.b1.value, ffn.w2.value.copy(), ffn.b2.value.copy(), 0)
+
+
+@functools.lru_cache(maxsize=8)
+def _ones_column(n: int) -> np.ndarray:
+    col = np.ones((n, 1))
+    col.flags.writeable = False
+    return col
 
 
 def _np_softmax(v: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in `v` and returned."""
     # clipping bounds exp instead of the usual row-max shift; for |v| < 700
-    # (always, for trained weights) the result is the exact softmax
-    e = np.exp(np.clip(v, -700.0, 700.0))
-    e /= e @ np.ones((v.shape[-1], 1))
-    return e
+    # (always, for trained weights) the result is the exact softmax.  The
+    # row sum is a GEMM against a ones column, much faster than ufunc reduce
+    # on a short axis
+    np.maximum(v, -700.0, out=v)     # np.clip, without its call overhead
+    np.minimum(v, 700.0, out=v)
+    np.exp(v, out=v)
+    v /= v @ _ones_column(v.shape[-1])
+    return v
 
 
-def _np_mha(x: np.ndarray, p: MHAParams) -> np.ndarray:
-    B, S, D = x.shape
-    heads, dh = len(p.wq), p.head_dim
-    # the 1/sqrt(d_q) attention scale is folded into the stacked query
-    # projection so the score matrix needs no separate scaling pass
-    Wq = np.concatenate([w.value for w in p.wq], axis=1) * (1.0 / np.sqrt(dh))
-    Wk = np.concatenate([w.value for w in p.wk], axis=1)
-    Wv = np.concatenate([w.value for w in p.wv], axis=1)
-    flat = x.reshape(-1, D)
-    q = (flat @ Wq).reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
-    k = (flat @ Wk).reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
-    v = (flat @ Wv).reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
-    z = np.matmul(_np_softmax(scores), v)               # (B, h, S, dh)
-    z = z.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
-    return (z @ p.wo.value).reshape(B, S, D)
+def _attend(qkv: np.ndarray, B: int, S: int, heads: int) -> np.ndarray:
+    """Scaled dot-product attention per head over projected tokens
+    (B * S, 3 * heads * dh); returns the concatenated heads (B * S, heads * dh)."""
+    dh = qkv.shape[1] // (3 * heads)
+    t = qkv.reshape(B, S, 3 * heads, dh).transpose(0, 2, 1, 3)   # (B, 3h, S, dh)
+    q, k, v = t[:, :heads], t[:, heads: 2 * heads], t[:, 2 * heads:]
+    z = _np_softmax(q @ k.transpose(0, 1, 3, 2)) @ v             # (B, h, S, dh)
+    return z.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
 
 
-def _np_ffn(x: np.ndarray, p: FFNParams) -> np.ndarray:
-    B, S, D = x.shape
-    flat = x.reshape(-1, D)
-    hidden = np.maximum(flat @ p.w1.value + p.b1.value, 0.0)
-    return (hidden @ p.w2.value + p.b2.value).reshape(B, S, -1)
+class InferencePlan:
+    """A DenoiseModel's weights packed for inference.
 
+    A snapshot: weight changes after construction are not seen, so build a
+    new plan after training, loading or editing the model.
+    """
 
-def _np_logits(model: "DenoiseModel", h: np.ndarray) -> np.ndarray:
-    cfg = model.config
-    x = h.reshape(-1, cfg.seq_len, cfg.token_dim)
-    for lp in model.encoder:
-        x = _np_mha(_np_layer_norm(x, lp.ln1), lp.mha) + x
-        x = _np_ffn(_np_layer_norm(x, lp.ln2), lp.ffn) + x
-    z = x
-    for lp in model.decoder:
-        z1 = _np_mha(_np_layer_norm(z, lp.ln1), lp.mha1) + z
-        z2 = _np_mha(_np_layer_norm(z, lp.ln2), lp.mha2) + z1
-        z = _np_ffn(_np_layer_norm(z2, lp.ln3), lp.ffn) + z2
-    flat = z.reshape(-1, cfg.seq_len * cfg.token_dim)
-    return flat @ model.head.w.value + model.head.b.value
+    def __init__(self, model: "DenoiseModel"):
+        cfg = model.config
+        self.seq_len, self.token_dim = cfg.seq_len, cfg.token_dim
+        self.eventconv = pack_eventconv(model.eventconv)
+        self.blocks: List[_Block] = []
+        for lp in model.encoder:
+            self.blocks += [_attention_block([(lp.ln1, lp.mha)]),
+                            _ffn_block(lp.ln2, lp.ffn)]
+        for lp in model.decoder:
+            self.blocks += [_attention_block([(lp.ln1, lp.mha1), (lp.ln2, lp.mha2)]),
+                            _ffn_block(lp.ln3, lp.ffn)]
+        self.head_w = model.head.w.value.copy()
+        self.head_b = model.head.b.value.copy()
+        D = cfg.token_dim
+        self._center = np.eye(D) - 1.0 / D
+        self._mean = np.full((D, 1), 1.0 / D)
+
+    def logits(self, h: np.ndarray) -> np.ndarray:
+        """Logits (B, 2) from signatures (B, S * D)."""
+        S, D = self.seq_len, self.token_dim
+        B = h.shape[0]
+        x = h.reshape(B * S, D)
+        for blk in self.blocks:
+            # reductions over the short token axis run as GEMMs, which is
+            # much faster than ufunc reduce on a length-D axis
+            xhat = x @ self._center
+            xhat *= ((xhat * xhat) @ self._mean + T.LAYER_NORM_EPS) ** -0.5
+            a = xhat @ blk.w_in
+            a += blk.b_in
+            if blk.heads:
+                a = _attend(a, B, S, blk.heads)
+            else:
+                np.maximum(a, 0.0, out=a)
+            out = a @ blk.w_out
+            if blk.b_out is not None:
+                out += blk.b_out
+            out += x
+            x = out
+        return x.reshape(B, S * D) @ self.head_w + self.head_b
 
 
 class DenoiseModel:
@@ -317,16 +384,21 @@ class DenoiseModel:
         """Probabilities (B, 2) for a batch of graphs."""
         return T.softmax(self.forward_batch(graphs), axis=-1).value
 
-    def classify_padded(self, feats: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def classify_padded(self, feats: np.ndarray, mask: np.ndarray,
+                        plan: Optional[InferencePlan] = None) -> np.ndarray:
         """Probabilities (B, 2) from padded normalized node features.
 
-        This is the streaming-inference fast path; batch and sequential
-        prediction both route through it so their decisions are identical
-        bit for bit.
+        This is the streaming-inference fast path, run through `plan` (built
+        from the current weights when not given).  Its probabilities agree
+        with the tape forward (`classify_graphs`) to rounding, and differ
+        from row to row between batch sizes by a few ulps at most, so
+        batch and sequential prediction give the same decisions except at
+        an exact tie.
         """
+        plan = plan or InferencePlan(self)
         Q = quantities_padded(feats, mask)
-        h = signature_batch_np(Q, mask, self.eventconv)
-        return _np_softmax(_np_logits(self, h))
+        h = signature_batch_np(Q, mask, plan.eventconv)
+        return _np_softmax(plan.logits(h))
 
     def decide(self, probs: np.ndarray) -> np.ndarray:
         """Argmax with the tie at p = 0.5 resolved to noise (fail closed)."""
@@ -334,31 +406,55 @@ class DenoiseModel:
         return (probs[:, DECISION_REAL] > probs[:, DECISION_NOISE]).astype(np.int64)
 
 
+class SequentialDecider:
+    """Decides one event at a time as it arrives: recency-store query, node
+    features, fast-path classification, then insertion of the event.
+
+    The plan is built once, here; make a new decider after the model's
+    weights change.
+    """
+
+    def __init__(self, model: DenoiseModel, geometry: SensorGeometry):
+        self.model = model
+        self.geometry = geometry
+        self.store = RecencyStore(geometry, capacity=max(1, model.volume.N_max))
+        self.plan = InferencePlan(model)
+
+    def step(self, e: Event) -> int:
+        """The decision for `e` (-1 for an out-of-bounds event, which is
+        not stored)."""
+        if not self.geometry.contains(e.x, e.y):
+            return -1
+        model, spec = self.model, self.model.volume
+        feats, mask = node_features_single(e, self.store.query(e, spec), spec)
+        decision = int(model.decide(model.classify_padded(feats, mask, self.plan))[0])
+        self.store.insert(e)
+        return decision
+
+
 def predict_stream(stream: EventStream, model: DenoiseModel,
                    mode: str = "batch",
-                   chunk_size: int = 8192) -> Tuple[np.ndarray, List[int]]:
-    # chunk_size 8192 keeps fast-path intermediates inside the CPU cache;
-    # larger chunks measurably regress throughput
+                   chunk_size: int = 4096) -> Tuple[np.ndarray, List[int]]:
+    # chunk_size bounds the fast path's intermediates (~6 KB per event: the
+    # fused decoder attention holds q, k, v and scores of all its heads at
+    # once); chunks of 2048-8192 events run equally fast
     """Per-event real/noise decisions; returns (decisions, skipped_indices).
 
     Decisions are -1 at skipped (out-of-bounds) events.  Sequential mode
-    folds one event at a time through a recency store; batch mode builds all
-    graphs with the vectorized neighbor search.  Decisions are identical.
+    folds one event at a time through a SequentialDecider; batch mode builds
+    all graphs with the vectorized neighbor search.  Both build one
+    inference plan and give the same decisions.
     """
-    spec = model.volume
     n = len(stream)
     decisions = np.full(n, -1, dtype=np.int64)
-    skipped: List[int] = []
     if mode == "seq":
-        store = RecencyStore(stream.geometry, capacity=max(1, spec.N_max))
+        decider = SequentialDecider(model, stream.geometry)
         for i, e in enumerate(stream):
-            if not stream.geometry.contains(e.x, e.y):
-                skipped.append(i)
-                continue
-            feats, mask = node_features_single(e, store.query(e, spec), spec)
-            decisions[i] = model.decide(model.classify_padded(feats, mask))[0]
-            store.insert(e)
+            decisions[i] = decider.step(e)
+        skipped = [int(i) for i in np.flatnonzero(decisions < 0)]
     elif mode == "batch":
+        plan = InferencePlan(model)
+        spec = model.volume
         t, x, y, _, _ = stream.arrays()
         nbr = batch_neighbor_indices(t, x, y, spec, stream.geometry)
         feats, mask = features_from_batch_indices(t, x, y, nbr, spec)
@@ -368,7 +464,7 @@ def predict_stream(stream: EventStream, model: DenoiseModel,
         skipped = [int(i) for i in np.flatnonzero(~in_bounds)]
         for lo in range(0, len(live), chunk_size):
             idx = live[lo: lo + chunk_size]
-            probs = model.classify_padded(feats[idx], mask[idx])
+            probs = model.classify_padded(feats[idx], mask[idx], plan)
             decisions[idx] = model.decide(probs)
     else:
         raise ValueError(f"unknown mode {mode!r}")

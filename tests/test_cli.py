@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from evdenoise.cli import main
+from evdenoise.cli import _ModelFilter, main
+from evdenoise.events import SensorGeometry, read_events
+from evdenoise.transformer import load_model
 
 SCENE = """\
 width = 32
@@ -89,6 +91,18 @@ def test_filter_seq_matches_batch(workspace):
     d_seq = np.loadtxt(out / "decisions.txt", dtype=np.int64)
     d_batch = np.loadtxt(workspace["filter"] / "decisions.txt", dtype=np.int64)
     np.testing.assert_array_equal(d_seq, d_batch)
+
+
+def test_model_filter_step_fold_matches_run_batch(workspace):
+    geometry = SensorGeometry(32, 24)
+    stream = read_events(workspace["events"], geometry=geometry)
+    filt = _ModelFilter(load_model(workspace["train"] / "model.ckpt"), geometry)
+    batch = filt.run_batch(stream)
+    for _ in range(2):          # the second fold starts over from reset()
+        filt.reset()
+        fold = np.array([filt.step(e) for e in stream], dtype=np.int64)
+        np.testing.assert_array_equal(fold, batch)
+    assert set(np.unique(batch)) == {0, 1}
 
 
 def test_baseline_filter_and_eval_and_report(workspace):

@@ -87,21 +87,54 @@ class TestResidualStructure:
         np.testing.assert_array_equal(out, x)
 
 
+def padded(graphs):
+    """Padded (feats, mask) of a list of graphs, as classify_padded takes."""
+    m_max = max(g.node_count for g in graphs)
+    feats = np.zeros((len(graphs), m_max, 3))
+    mask = np.zeros((len(graphs), m_max, 1))
+    for i, g in enumerate(graphs):
+        f = g.feature_matrix()
+        feats[i, : f.shape[0]] = f
+        mask[i, : f.shape[0], 0] = 1.0
+    return feats, mask
+
+
+def perturb(model, rng, scale=0.3):
+    """Move every weight off its initial value, so LayerNorm gains and
+    biases are no longer ones and zeros."""
+    for p in model.parameters():
+        p.value = p.value + rng.normal(0.0, scale, size=p.value.shape)
+
+
+FAST_PATH_CONFIGS = {
+    "single_token": dict(single_token=True),
+    "3q": dict(quantities=QuantitySet.from_variant("3q")),
+    "heads1": dict(heads=1),
+    "heads3": dict(heads=3),
+    "layers1": dict(enc_layers=1, dec_layers=1),
+    "layers3": dict(enc_layers=3, dec_layers=3),
+    "ffn_mult2": dict(ffn_mult=2),
+}
+
+
 class TestForwardPaths:
     def test_fast_path_matches_tape(self):
         rng = np.random.default_rng(5)
         model = DenoiseModel(seed=1)
         graphs = [random_graph(rng, int(rng.integers(0, 10))) for _ in range(30)]
         tape = T.softmax(model.forward_batch(graphs), axis=-1).value
-        m_max = max(g.node_count for g in graphs)
-        feats = np.zeros((30, m_max, 3))
-        mask = np.zeros((30, m_max, 1))
-        for i, g in enumerate(graphs):
-            f = g.feature_matrix()
-            feats[i, : f.shape[0]] = f
-            mask[i, : f.shape[0], 0] = 1.0
-        fast = model.classify_padded(feats, mask)
+        fast = model.classify_padded(*padded(graphs))
         np.testing.assert_allclose(fast, tape, atol=1e-10)
+
+    @pytest.mark.parametrize("kwargs", FAST_PATH_CONFIGS.values(),
+                             ids=FAST_PATH_CONFIGS.keys())
+    def test_fast_path_matches_tape_across_configs(self, kwargs):
+        rng = np.random.default_rng(14)
+        model = DenoiseModel(seed=3, **kwargs)
+        perturb(model, rng)
+        graphs = [random_graph(rng, int(rng.integers(0, 10))) for _ in range(40)]
+        fast = model.classify_padded(*padded(graphs))
+        np.testing.assert_allclose(fast, model.classify_graphs(graphs), atol=1e-10)
 
     def test_classify_matches_batch(self):
         rng = np.random.default_rng(6)
@@ -170,6 +203,38 @@ class TestPredictStream:
         with pytest.raises(ValueError, match="mode"):
             predict_stream(random_stream(np.random.default_rng(0), 3),
                            DenoiseModel(), mode="nope")
+
+
+class TestPlanStaleness:
+    """No inference plan outlives a weight change: classify_padded and
+    predict_stream build theirs from the weights of the moment."""
+
+    @staticmethod
+    def assert_fast_matches_tape(model, graphs):
+        np.testing.assert_allclose(model.classify_padded(*padded(graphs)),
+                                   model.classify_graphs(graphs), atol=1e-10)
+
+    def test_weight_changes_reach_the_fast_path(self, tmp_path):
+        rng = np.random.default_rng(15)
+        model = DenoiseModel(seed=10)
+        graphs = [random_graph(rng, int(rng.integers(0, 10))) for _ in range(20)]
+        before = model.classify_padded(*padded(graphs))
+        predict_stream(random_stream(rng, 200), model, mode="seq")
+
+        train(TestTraining.toy_dataset(rng, n=32), model,
+              TrainConfig(epochs=1, batch_size=8, lr=0.01, seed=0))
+        assert not np.allclose(model.classify_padded(*padded(graphs)), before)
+        self.assert_fast_matches_tape(model, graphs)
+
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        back = load_model(path)
+        self.assert_fast_matches_tape(back, graphs)
+        np.testing.assert_array_equal(back.classify_padded(*padded(graphs)),
+                                      model.classify_padded(*padded(graphs)))
+
+        model.head.b.value[:] = [2.0, -2.0]
+        self.assert_fast_matches_tape(model, graphs)
 
 
 class TestTraining:
