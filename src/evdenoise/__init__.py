@@ -10,17 +10,18 @@ from .events import (Event, EventFormatError, EventStream, LABEL_NOISE,
                      stream_from_arrays, validate_stream, write_events)
 from .graph import (EventGraph, GraphNode, NormalizedGraph, RecencyStore,
                     VolumeSpec, batch_neighbor_indices, build_graph,
-                    normalize_graph, stream_graphs)
+                    normalize_graph)
 from .eventconv import (EventConvParams, QuantitySet, VARIANTS,
                         compute_quantities, eventconv_forward)
-from .transformer import (DenoiseModel, ModelConfig, TrainConfig, load_model,
-                          predict_stream, save_model, train)
+from .transformer import (CheckpointError, DenoiseModel, ModelConfig,
+                          TrainConfig, load_model, predict_stream, save_model,
+                          train)
 from .baselines import (DelbruckBAFilter, KhodamoradiFilter, LiuFilter,
                         NNbFilter, YangFilter, make_filter)
 from .kogtl import (ApsFrame, LabelingConfig, canny_edges, icp_align,
                     kogtl_pipeline)
 from .synth import (GeneratedDataset, HotPixel, MovingEdge, SceneSpec,
-                    build_training_set, generate, preset_scene)
+                    TrainingSet, build_training_set, generate, preset_scene)
 from .bench import (ConfusionCounts, Metrics, confusion, memory_estimate,
                     metrics_from_counts, time_filter, windowed_eval)
 from .config import RunConfig, parse_scene_file

@@ -2,19 +2,20 @@
 machine consuming one event at a time.
 
 All window comparisons use the strict past [t - T, t) except the Yang
-density count, which includes the arriving event itself.
+density count, which includes the arriving event itself.  An event outside
+the sensor is decided -1 and leaves the filter's state untouched.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .events import Event, EventStream, SensorGeometry
 
+DECISION_SKIPPED = -1
 DECISION_NOISE = 0
 DECISION_REAL = 1
 
@@ -41,11 +42,19 @@ class TimestampMap:
 
 
 class BaseFilter:
-    """step(event) -> decision; subclasses mutate their state after deciding."""
+    """step(event) -> decision; subclasses decide in-bounds events in
+    _decide and mutate their state after deciding."""
 
     name = "base"
+    geometry: SensorGeometry
 
     def step(self, e: Event) -> int:
+        g = self.geometry     # contains() inlined: this runs once per event
+        if 0 <= e.x < g.width and 0 <= e.y < g.height:
+            return self._decide(e)
+        return DECISION_SKIPPED
+
+    def _decide(self, e: Event) -> int:
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -54,10 +63,6 @@ class BaseFilter:
     def run_batch(self, stream: EventStream) -> np.ndarray:
         """Whole-stream decisions in one call (same fold, single entry point)."""
         return np.array([self.step(e) for e in stream], dtype=np.int64)
-
-
-def run_filter(stream: EventStream, filt: BaseFilter) -> np.ndarray:
-    return np.array([filt.step(e) for e in stream], dtype=np.int64)
 
 
 class DelbruckBAFilter(BaseFilter):
@@ -74,7 +79,7 @@ class DelbruckBAFilter(BaseFilter):
     def reset(self):
         self.map = TimestampMap(self.geometry)
 
-    def step(self, e: Event) -> int:
+    def _decide(self, e: Event) -> int:
         hits = self.map.window_hits(e.x, e.y, self.L, e.t - self.T_us, e.t)
         decision = DECISION_REAL if hits >= self.k else DECISION_NOISE
         self.map.update(e.x, e.y, e.t)
@@ -93,7 +98,7 @@ class NNbFilter(BaseFilter):
     def reset(self):
         self.map = TimestampMap(self.geometry)
 
-    def step(self, e: Event) -> int:
+    def _decide(self, e: Event) -> int:
         hits = self.map.window_hits(e.x, e.y, self.L, e.t - self.T_us, e.t)
         decision = DECISION_REAL if hits >= 1 else DECISION_NOISE
         self.map.update(e.x, e.y, e.t)
@@ -122,7 +127,7 @@ class LiuFilter(BaseFilter):
     def cell_count(self) -> int:
         return self.gw * self.gh
 
-    def step(self, e: Event) -> int:
+    def _decide(self, e: Event) -> int:
         gx, gy = e.x >> self.S, e.y >> self.S
         x0, x1 = max(0, gx - 1), min(self.gw, gx + 2)
         y0, y1 = max(0, gy - 1), min(self.gh, gy + 2)
@@ -161,7 +166,7 @@ class KhodamoradiFilter(BaseFilter):
                 return True
         return False
 
-    def step(self, e: Event) -> int:
+    def _decide(self, e: Event) -> int:
         col_ok = self._fresh(self.col_t, self.col_p, e.x, self.geometry.width, e.t, e.p)
         row_ok = self._fresh(self.row_t, self.row_p, e.y, self.geometry.height, e.t, e.p)
         decision = DECISION_REAL if (col_ok and row_ok) else DECISION_NOISE
@@ -215,7 +220,7 @@ class YangFilter(BaseFilter):
                         count += 1
         return count
 
-    def step(self, e: Event) -> int:
+    def _decide(self, e: Event) -> int:
         support = self._count_region(e.x, e.y, e.t - self.T_us, e.t,
                                      exclude_center=True, L=self.L)
         density = support + 1  # arriving event is projected into its region

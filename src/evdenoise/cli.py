@@ -14,13 +14,14 @@ import numpy as np
 from . import bench
 from .baselines import make_filter
 from .config import ConfigError, RunConfig, parse_scene_file
-from .events import read_events, write_events
+from .events import EventFormatError, EventStream, read_events, write_events
 from .eventconv import QuantitySet
 from .graph import VolumeSpec
 from .kogtl import LabelingConfig, kogtl_pipeline, read_frame_dir, write_pgm
 from .synth import build_training_set, generate, preset_scene
-from .transformer import (DenoiseModel, SequentialDecider, TrainConfig,
-                          load_model, predict_stream, save_model, train)
+from .transformer import (CheckpointError, DenoiseModel, SequentialDecider,
+                          TrainConfig, load_model, predict_stream, save_model,
+                          train)
 
 
 class _ModelFilter:
@@ -157,7 +158,6 @@ def cmd_filter(args) -> int:
     else:
         decisions = np.array([filt.step(e) for e in stream], dtype=np.int64)
     kept = [e for e, d in zip(stream, decisions) if d == 1]
-    from .events import EventStream
     write_events(EventStream(kept, geometry), _out_path(args, "filtered.csv"))
     np.savetxt(_out_path(args, "decisions.txt"), decisions, fmt="%d")
     _write_manifest(args, cfg, {"algo": args.algo, "mode": args.mode,
@@ -292,7 +292,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, EventFormatError,
+            CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

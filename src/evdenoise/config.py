@@ -7,8 +7,8 @@ generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Tuple
 
 from .events import SensorGeometry
 from .synth import HotPixel, LIGHT_PRESETS, MovingEdge, SceneSpec

@@ -76,14 +76,7 @@ class EventConvParams:
         return out
 
 
-def compute_means(g: NormalizedGraph) -> Tuple[float, float, float]:
-    """Arithmetic means of (x, y, t) over all nodes, interest node included."""
-    feats = g.feature_matrix()
-    m = feats.mean(axis=0)
-    return float(m[0]), float(m[1]), float(m[2])
-
-
-def compute_quantities(g: NormalizedGraph, means=None) -> np.ndarray:
+def compute_quantities(g: NormalizedGraph) -> np.ndarray:
     """Per-node quantity matrix of shape (m, 7):
 
     Q1..Q3 deviations of x, y, t from the graph means; Q4..Q6 population
@@ -91,8 +84,7 @@ def compute_quantities(g: NormalizedGraph, means=None) -> np.ndarray:
     Euclidean distance from the node to the mean point.
     """
     feats = g.feature_matrix()
-    mu = np.asarray(means if means is not None else feats.mean(axis=0))
-    dev = feats - mu
+    dev = feats - feats.mean(axis=0)
     std = np.sqrt((dev * dev).mean(axis=0))
     m = feats.shape[0]
     Q = np.empty((m, 7), dtype=np.float64)
@@ -206,7 +198,7 @@ def signature_batch_np(Q: np.ndarray, mask: np.ndarray,
     np.reciprocal(z, out=z)
     z *= mask[..., None]
     h = z.sum(axis=1)                                   # (B, q, wdt)
-    return h.reshape(Q.shape[0], -1)
+    return h.reshape(Q.shape[0], Ws.size)
 
 
 def _basis_column(q: int) -> np.ndarray:

@@ -6,10 +6,9 @@ are 0 (noise), 1 (real activity), or None (unknown).
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -1,19 +1,21 @@
 """Local-volume event graph construction.
 
-A per-pixel recency store tracks the most recent events at every pixel so
-that, for each arriving event, the <= N_max most recent events inside the
-(2L+1)x(2L+1) x T-microsecond volume can be collected and normalized into
-the classifier's input graph.
+Each event's input graph is the <= N_max most recent events inside its
+(2L+1)x(2L+1) x T-microsecond volume.  Two searches find them: a vectorized
+batch search over any rows of a time-sorted stream (training and batch
+prediction), and a per-pixel recency store queried one arriving event at a
+time (sequential prediction).  Graph objects and the brute-force scan are
+the independent oracle both are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from .events import Event, EventStream, SensorGeometry
+from .events import Event, SensorGeometry
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,6 @@ class RecencyStore:
         if len(buf) > self.capacity:
             del buf[0]
 
-    def pixel_entries(self, x: int, y: int) -> List[Tuple[int, int]]:
-        return list(self._cells.get((x, y), ()))
-
     def query(self, e: Event, spec: VolumeSpec) -> List[GraphNode]:
         """The <= N_max most recent stored events in the local volume of `e`.
 
@@ -135,34 +134,6 @@ def normalize_graph(g: EventGraph, spec: VolumeSpec) -> NormalizedGraph:
     return NormalizedGraph(norm(g.interest), tuple(norm(nb) for nb in g.neighbors))
 
 
-def denormalize_features(feat, interest: GraphNode, spec: VolumeSpec) -> GraphNode:
-    """Inverse of the normalization affine map (rounded back to integers)."""
-    lo, span = 0.05, 0.90
-    nx, ny, nt = feat
-    x = (interest.x - spec.L) + (nx - lo) / span * (2 * spec.L) if spec.L > 0 else interest.x
-    y = (interest.y - spec.L) + (ny - lo) / span * (2 * spec.L) if spec.L > 0 else interest.y
-    t = (interest.t - spec.T_us) + (nt - lo) / span * spec.T_us
-    return GraphNode(int(round(x)), int(round(y)), int(round(t)))
-
-
-def stream_graphs(stream: EventStream, spec: VolumeSpec,
-                  store: RecencyStore = None):
-    """Yield (index, event, NormalizedGraph) for every in-bounds event, in order.
-
-    Each event's graph is built before the event is inserted into the store.
-    Out-of-bounds events are skipped (yielded with graph=None).
-    """
-    store = store or RecencyStore(stream.geometry, capacity=max(1, spec.N_max))
-    for i, e in enumerate(stream):
-        if not stream.geometry.contains(e.x, e.y):
-            yield i, e, None
-            continue
-        nbrs = store.query(e, spec)
-        graph = normalize_graph(build_graph(e, nbrs, spec), spec)
-        store.insert(e)
-        yield i, e, graph
-
-
 def brute_force_neighbors(stream_arrays, i: int, spec: VolumeSpec) -> List[GraphNode]:
     """Independent definition of the neighbor query: scan the full stream
     prefix with the volume predicate and keep the N_max most recent.
@@ -183,47 +154,56 @@ def brute_force_neighbors(stream_arrays, i: int, spec: VolumeSpec) -> List[Graph
 
 
 def batch_neighbor_indices(t: np.ndarray, x: np.ndarray, y: np.ndarray,
-                           spec: VolumeSpec,
-                           geometry: SensorGeometry) -> np.ndarray:
-    """Vectorized neighbor search for a whole time-sorted stream.
+                           spec: VolumeSpec, geometry: SensorGeometry,
+                           rows=None) -> np.ndarray:
+    """Vectorized neighbor search over a time-sorted stream.
 
-    Returns an (n, N_max) int array of event indices (-1 padding), ordered by
-    (timestamp desc, arrival desc) — identical to the per-event query against
-    a RecencyStore.  Out-of-bounds events get all -1 rows.
+    Returns a (len(rows), N_max) int array of event indices (-1 padding) for
+    the events at `rows` (default: every event), ordered by (timestamp desc,
+    arrival desc) — identical to the per-event query against a RecencyStore.
+    Out-of-bounds events get all -1 rows and are no event's neighbor.  No
+    neighbor is older than T_us, so only the events from t[min(rows)] - T_us
+    to max(rows) are searched: work and memory follow the rows and that
+    window, not the stream length.
     """
+    cap = spec.N_max
+    rows = np.arange(len(t)) if rows is None else np.asarray(rows, dtype=np.int64)
+    out = np.full((len(rows), cap), -1, dtype=np.int64)
+    if len(rows) == 0 or cap == 0:
+        return out
+    base = int(np.searchsorted(t, t[rows.min()] - spec.T_us, side="left"))
+    end = int(rows.max()) + 1
+    t, x, y = t[base:end], x[base:end], y[base:end]
+    q = rows - base                      # the rows' positions in the window
     n = len(t)
     W, H = geometry.width, geometry.height
-    cap = spec.N_max
-    out = np.full((n, cap), -1, dtype=np.int64)
-    if n == 0 or cap == 0:
-        return out
 
     in_bounds = (x >= 0) & (x < W) & (y >= 0) & (y < H)
-    # sort events by (pixel id, arrival index); same-pixel runs stay in
-    # arrival order, which is also time order for a sorted stream
-    pix = x * H + y
-    order = np.lexsort((np.arange(n), pix))
+    # sort the window by (pixel id, arrival index); same-pixel runs stay in
+    # arrival order, which is also time order for a sorted stream.
+    # Out-of-bounds events go past the last pixel, where no query looks
+    pix = np.where(in_bounds, x * H + y, W * H)
+    order = np.argsort(pix, kind="stable")
     sorted_pix = pix[order]
     sorted_key = sorted_pix * np.int64(n) + order
     # first occurrence of every pixel id in the sorted layout
     run_start = np.searchsorted(sorted_pix, np.arange(W * H, dtype=np.int64))
 
+    xq, yq, live = x[q], y[q], in_bounds[q]
     span = 2 * spec.L + 1
-    n_off = span * span
-    cand = np.full((n, n_off * cap), -1, dtype=np.int32)
+    cand = np.full((len(q), span * span * cap), -1, dtype=np.int32)
     col = 0
     ks = np.arange(cap)[:, None]
     for dx in range(-spec.L, spec.L + 1):
         for dy in range(-spec.L, spec.L + 1):
-            qpix = (x + dx) * H + (y + dy)
-            valid = in_bounds & (x + dx >= 0) & (x + dx < W) \
-                & (y + dy >= 0) & (y + dy < H)
-            qsafe = np.where(valid, qpix, 0)
-            # events at pixel qpix with arrival index < i live in
+            valid = live & (xq + dx >= 0) & (xq + dx < W) \
+                & (yq + dy >= 0) & (yq + dy < H)
+            qpix = np.where(valid, (xq + dx) * H + (yq + dy), 0)
+            # events at pixel qpix with arrival index < q live in
             # [run_start[qpix], hi); take the last up-to-cap of them
-            hi = np.searchsorted(sorted_key, qsafe * np.int64(n) + np.arange(n))
-            lo = run_start[qsafe]
-            pos = hi[None, :] - 1 - ks                      # (cap, n)
+            hi = np.searchsorted(sorted_key, qpix * np.int64(n) + q)
+            lo = run_start[qpix]
+            pos = hi[None, :] - 1 - ks                      # (cap, rows)
             ok = valid[None, :] & (pos >= lo[None, :])
             cand[:, col: col + cap] = \
                 np.where(ok, order[np.clip(pos, 0, n - 1)], -1).T
@@ -239,8 +219,8 @@ def batch_neighbor_indices(t: np.ndarray, x: np.ndarray, y: np.ndarray,
     top = np.take_along_axis(top, np.argsort(-top, axis=1, kind="stable"), axis=1)
     # the stream is time-sorted, so the temporal window is an index cutoff:
     # candidates older than t - T form a suffix of each descending row
-    keep = (top >= 0) & (t[np.clip(top, 0, n - 1)] >= (t - spec.T_us)[:, None])
-    out[:, : top.shape[1]] = np.where(keep, top, -1)
+    keep = (top >= 0) & (t[np.clip(top, 0, n - 1)] >= (t[q] - spec.T_us)[:, None])
+    out[:, : top.shape[1]] = np.where(keep, top.astype(np.int64) + base, -1)
     return out
 
 
@@ -269,14 +249,16 @@ def padded_node_features(nodes: np.ndarray, nmask: np.ndarray, spec: VolumeSpec)
     return np.where(real, feats, 0.0), real.astype(np.float64)
 
 
-def features_from_batch_indices(t, x, y, nbr_idx, spec: VolumeSpec):
-    """padded_node_features over a whole stream given batch_neighbor_indices
-    output.  Rows for out-of-bounds events (all -1 neighbors plus an
-    out-of-bounds interest pixel) are still emitted; callers skip them."""
+def features_from_batch_indices(t, x, y, nbr_idx, spec: VolumeSpec, rows=None):
+    """padded_node_features for the events at `rows` (default: every event)
+    given their batch_neighbor_indices output.  Rows of out-of-bounds events
+    (all -1 neighbors plus an out-of-bounds interest pixel) are still
+    emitted; callers skip them."""
+    rows = np.arange(len(t)) if rows is None else np.asarray(rows, dtype=np.int64)
     nmask = nbr_idx >= 0
-    rows = np.concatenate([np.arange(len(t))[:, None],
-                           np.where(nmask, nbr_idx, 0)], axis=1)
-    return padded_node_features(np.stack([x, y, t], axis=1)[rows], nmask, spec)
+    nodes = np.concatenate([rows[:, None], np.where(nmask, nbr_idx, 0)], axis=1)
+    return padded_node_features(np.stack([x[nodes], y[nodes], t[nodes]], axis=-1),
+                                nmask, spec)
 
 
 def node_features_single(e: Event, neighbors: List[GraphNode], spec: VolumeSpec):
@@ -286,18 +268,3 @@ def node_features_single(e: Event, neighbors: List[GraphNode], spec: VolumeSpec)
     nodes = np.zeros((1, cap + 1, 3), dtype=np.int64)
     nodes[0, : len(nbrs) + 1] = [(e.x, e.y, e.t), *((nb.x, nb.y, nb.t) for nb in nbrs)]
     return padded_node_features(nodes, np.arange(cap)[None] < len(nbrs), spec)
-
-
-def graphs_from_batch_indices(stream: EventStream, spec: VolumeSpec,
-                              nbr_idx: np.ndarray):
-    """Materialize NormalizedGraphs from batch_neighbor_indices output."""
-    t, x, y, _, _ = stream.arrays()
-    graphs = []
-    for i, e in enumerate(stream):
-        if not stream.geometry.contains(e.x, e.y):
-            graphs.append(None)
-            continue
-        nbrs = [GraphNode(int(x[j]), int(y[j]), int(t[j]))
-                for j in nbr_idx[i] if j >= 0]
-        graphs.append(normalize_graph(build_graph(e, nbrs, spec), spec))
-    return graphs

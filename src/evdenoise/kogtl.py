@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .events import Event, EventStream, LABEL_NOISE, LABEL_REAL, SensorGeometry
+from .events import Event, EventStream, LABEL_NOISE, LABEL_REAL
 
 
 @dataclass

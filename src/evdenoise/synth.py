@@ -9,14 +9,14 @@ The ground-truth labels make the generator the oracle for end-to-end tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .events import (Event, EventStream, LABEL_NOISE, LABEL_REAL,
-                     SensorGeometry, stream_from_arrays)
-from .graph import (RecencyStore, VolumeSpec, build_graph, normalize_graph,
-                    NormalizedGraph)
+from .events import (EventStream, LABEL_NOISE, LABEL_REAL, SensorGeometry,
+                     stream_from_arrays)
+from .graph import (VolumeSpec, batch_neighbor_indices,
+                    features_from_batch_indices)
 from .kogtl import ApsFrame
 
 # illumination presets: low light raises both the noise rate and the
@@ -224,31 +224,37 @@ def sample_balanced_indices(stream: EventStream, per_class: int,
                            rng.choice(noise_idx, per_class, replace=False)])
 
 
-def graphs_for_indices(stream: EventStream, spec: VolumeSpec,
-                       indices) -> List[NormalizedGraph]:
-    """Normalized graphs for the given event indices, each built from the
-    full stream prefix preceding its event."""
-    wanted = set(int(i) for i in indices)
-    graphs = {}
-    store = RecencyStore(stream.geometry, capacity=max(1, spec.N_max))
-    for i, e in enumerate(stream):
-        if not stream.geometry.contains(e.x, e.y):
-            continue
-        if i in wanted:
-            graphs[i] = normalize_graph(build_graph(e, store.query(e, spec), spec), spec)
-        store.insert(e)
-    return [graphs[int(i)] for i in indices]
+@dataclass
+class TrainingSet:
+    """Balanced training samples as padded node features: feats
+    (B, N_max + 1, 3) and mask (B, N_max + 1, 1) as padded_node_features
+    gives them, and labels (B,)."""
+
+    feats: np.ndarray
+    mask: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def build_training_set(stream: EventStream, spec: VolumeSpec, per_class: int,
-                       seed: int = 0) -> List[Tuple[NormalizedGraph, int]]:
-    """Balanced (graph, label) samples: per_class events of each label drawn
-    uniformly without replacement; each graph is built from the full stream
+                       seed: int = 0) -> TrainingSet:
+    """Balanced samples: per_class events of each label drawn uniformly
+    without replacement; each local volume is searched in the full stream
     prefix preceding its event."""
-    _, _, _, _, lab = stream.arrays()
+    t, x, y, _, lab = stream.arrays()
     chosen = sample_balanced_indices(stream, per_class, seed)
-    graphs = graphs_for_indices(stream, spec, chosen)
-    return [(g, int(lab[int(i)])) for g, i in zip(graphs, chosen)]
+    W, H = stream.geometry.width, stream.geometry.height
+    xs, ys = x[chosen], y[chosen]
+    outside = chosen[(xs < 0) | (xs >= W) | (ys < 0) | (ys >= H)]
+    if len(outside):
+        i = int(outside[0])
+        raise ValueError(f"sampled event {i} at ({x[i]},{y[i]}) is outside "
+                         f"the {W}x{H} sensor")
+    nbr = batch_neighbor_indices(t, x, y, spec, stream.geometry, rows=chosen)
+    feats, mask = features_from_batch_indices(t, x, y, nbr, spec, rows=chosen)
+    return TrainingSet(feats, mask, lab[chosen])
 
 
 def preset_scene(light: str, seed: int = 0, duration_us: int = 2_000_000,

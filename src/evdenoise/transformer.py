@@ -11,6 +11,7 @@ published rather than the conventional cross-attention wiring).
 from __future__ import annotations
 
 import functools
+import io
 import json
 import struct
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .graph import (NormalizedGraph, RecencyStore, VolumeSpec,
                     node_features_single)
 from .nn import tensor as T
 from .nn.tensor import AdamState, Parameter, Tensor
+from .synth import TrainingSet
 
 DECISION_NOISE = 0
 DECISION_REAL = 1
@@ -371,15 +373,6 @@ class DenoiseModel:
                                     np.ones((1, Q.shape[0], 1)), self.eventconv)
         return T.reshape(self.logits_from_signature(h, batched=True), (2,))
 
-    def classify(self, h) -> np.ndarray:
-        """Probability pair (p_noise, p_real) from a signature vector."""
-        hv = np.asarray(h, dtype=np.float64)
-        n = self.config.seq_len * self.config.token_dim
-        if hv.shape != (n,):
-            raise ValueError(f"signature must have length {n}, got {hv.shape}")
-        logits = self.logits_from_signature(Tensor(hv[None, :]), batched=True)
-        return T.softmax(logits, axis=-1).value[0]
-
     def classify_graphs(self, graphs: Sequence[NormalizedGraph]) -> np.ndarray:
         """Probabilities (B, 2) for a batch of graphs."""
         return T.softmax(self.forward_batch(graphs), axis=-1).value
@@ -435,40 +428,38 @@ class SequentialDecider:
 def predict_stream(stream: EventStream, model: DenoiseModel,
                    mode: str = "batch",
                    chunk_size: int = 4096) -> Tuple[np.ndarray, List[int]]:
-    # chunk_size bounds the fast path's intermediates (~6 KB per event: the
-    # fused decoder attention holds q, k, v and scores of all its heads at
-    # once); chunks of 2048-8192 events run equally fast
     """Per-event real/noise decisions; returns (decisions, skipped_indices).
 
     Decisions are -1 at skipped (out-of-bounds) events.  Sequential mode
-    folds one event at a time through a SequentialDecider; batch mode builds
-    all graphs with the vectorized neighbor search.  Both build one
-    inference plan and give the same decisions.
+    folds one event at a time through a SequentialDecider.  Batch mode
+    decides chunk_size in-bounds events at a time: one batch neighbor search
+    and one fast-path call per chunk, so its working memory is one chunk
+    plus the events of the last T_us before it, whatever the stream length.
+    Both build one inference plan and give the same decisions.
     """
+    # chunk_size bounds the fast path's intermediates (~6 KB per event: the
+    # fused decoder attention holds q, k, v and scores of all its heads at
+    # once); chunks of 2048-8192 events run equally fast
     n = len(stream)
     decisions = np.full(n, -1, dtype=np.int64)
     if mode == "seq":
         decider = SequentialDecider(model, stream.geometry)
         for i, e in enumerate(stream):
             decisions[i] = decider.step(e)
-        skipped = [int(i) for i in np.flatnonzero(decisions < 0)]
     elif mode == "batch":
         plan = InferencePlan(model)
-        spec = model.volume
+        spec, geometry = model.volume, stream.geometry
         t, x, y, _, _ = stream.arrays()
-        nbr = batch_neighbor_indices(t, x, y, spec, stream.geometry)
-        feats, mask = features_from_batch_indices(t, x, y, nbr, spec)
-        in_bounds = (x >= 0) & (x < stream.geometry.width) \
-            & (y >= 0) & (y < stream.geometry.height)
-        live = np.flatnonzero(in_bounds)
-        skipped = [int(i) for i in np.flatnonzero(~in_bounds)]
+        live = np.flatnonzero((x >= 0) & (x < geometry.width)
+                              & (y >= 0) & (y < geometry.height))
         for lo in range(0, len(live), chunk_size):
-            idx = live[lo: lo + chunk_size]
-            probs = model.classify_padded(feats[idx], mask[idx], plan)
-            decisions[idx] = model.decide(probs)
+            rows = live[lo: lo + chunk_size]
+            nbr = batch_neighbor_indices(t, x, y, spec, geometry, rows=rows)
+            feats, mask = features_from_batch_indices(t, x, y, nbr, spec, rows=rows)
+            decisions[rows] = model.decide(model.classify_padded(feats, mask, plan))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return decisions, skipped
+    return decisions, [int(i) for i in np.flatnonzero(decisions < 0)]
 
 
 @dataclass
@@ -482,23 +473,23 @@ class TrainConfig:
     eps: float = 1e-8
 
 
-def train(dataset: Sequence[Tuple[NormalizedGraph, int]],
-          model: DenoiseModel,
+def train(dataset: TrainingSet, model: DenoiseModel,
           config: TrainConfig = None) -> List[float]:
     """Minimize cross-entropy with Adam; returns per-epoch mean loss.
 
     Deterministic given the config seed (shuffling uses a dedicated PRNG and
     all reductions have fixed order).
     """
-    if not dataset:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("empty training dataset")
     config = config or TrainConfig()
-    labels_all = np.array([lab for _, lab in dataset], dtype=np.int64)
-    Qpad, mask = pad_quantity_batch([g for g, _ in dataset])
+    labels_all = np.asarray(dataset.labels, dtype=np.int64)
+    mask = dataset.mask
+    Qpad = quantities_padded(dataset.feats, mask)
     params = model.parameters()
     state = AdamState(params, config.beta1, config.beta2, config.eps)
     rng = np.random.default_rng(config.seed)
-    n = len(dataset)
     history: List[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -552,12 +543,32 @@ def save_model(model: DenoiseModel, path) -> None:
             f.write(p.value.astype("<f8").tobytes())
 
 
+class CheckpointError(ValueError):
+    """Raised when a model checkpoint is malformed, truncated or has
+    trailing bytes."""
+
+
+def _read_exact(f, n: int, path) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    return data
+
+
+def _read_u32(f, path) -> int:
+    return struct.unpack("<I", _read_exact(f, 4, path))[0]
+
+
 def load_model(path) -> DenoiseModel:
-    with open(path, "rb") as f:
-        if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen))
+    # parsed from memory, so a corrupt length field cannot ask for more
+    # bytes than the file holds
+    with open(path, "rb") as fh:
+        f = io.BytesIO(fh.read())
+    if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+        raise CheckpointError(f"{path}: not a model checkpoint")
+    hdr = _read_exact(f, _read_u32(f, path), path)
+    try:
+        header = json.loads(hdr)
         model = DenoiseModel(
             volume=VolumeSpec(**header["volume"]),
             quantities=QuantitySet(tuple(header["quantities"])),
@@ -568,19 +579,22 @@ def load_model(path) -> DenoiseModel:
             ffn_mult=header["ffn_mult"],
             single_token=header["single_token"],
         )
-        (count,) = struct.unpack("<I", f.read(4))
-        params = model.parameters()
-        if count != len(params):
-            raise ValueError(f"{path}: parameter count mismatch")
-        by_name = {p.name: p for p in params}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode()
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}q", f.read(8 * ndim))
-            data = np.frombuffer(f.read(8 * int(np.prod(shape))), dtype="<f8")
-            p = by_name.get(name)
-            if p is None or tuple(p.value.shape) != tuple(shape):
-                raise ValueError(f"{path}: unexpected parameter {name} {shape}")
-            p.value = data.reshape(shape).astype(np.float64).copy()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None
+    count = _read_u32(f, path)
+    params = model.parameters()
+    if count != len(params):
+        raise CheckpointError(f"{path}: parameter count mismatch")
+    by_name = {p.name: p for p in params}
+    for _ in range(count):
+        name = _read_exact(f, _read_u32(f, path), path).decode(errors="replace")
+        ndim = _read_u32(f, path)
+        shape = struct.unpack(f"<{ndim}q", _read_exact(f, 8 * ndim, path))
+        p = by_name.get(name)
+        if p is None or tuple(p.value.shape) != tuple(shape):
+            raise CheckpointError(f"{path}: unexpected parameter {name} {shape}")
+        data = np.frombuffer(_read_exact(f, 8 * p.value.size, path), dtype="<f8")
+        p.value = data.reshape(shape).astype(np.float64).copy()
+    if f.read(1):
+        raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     return model

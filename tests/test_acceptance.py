@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from evdenoise.baselines import (DelbruckBAFilter, KhodamoradiFilter,
-                                 YangFilter, make_filter, run_filter)
+                                 YangFilter, make_filter)
 from evdenoise.bench import (EDNCNN_INPUT_ELEMENTS, ConfusionCounts,
                              memory_estimate, metrics_from_counts)
 from evdenoise.events import Event, EventStream, LABEL_REAL, SensorGeometry
@@ -23,12 +23,12 @@ from evdenoise.eventconv import (QuantitySet, compute_quantities,
 from evdenoise.graph import (GraphNode, RecencyStore, VolumeSpec,
                              batch_neighbor_indices, brute_force_neighbors,
                              build_graph, features_from_batch_indices,
-                             normalize_graph, stream_graphs)
+                             normalize_graph)
 from evdenoise.kogtl import LabelingConfig, canny_edges, icp_align, \
     kogtl_pipeline
 from evdenoise.nn.tensor import Tensor, cross_entropy, finite_diff_check
-from evdenoise.synth import (MovingEdge, SceneSpec, generate, preset_scene,
-                             graphs_for_indices, sample_balanced_indices)
+from evdenoise.synth import (MovingEdge, SceneSpec, TrainingSet, generate,
+                             preset_scene, sample_balanced_indices)
 from evdenoise.transformer import (DenoiseModel, TrainConfig, attention,
                                    predict_stream, train)
 import evdenoise.nn.tensor as T
@@ -43,24 +43,29 @@ DESK_TRAIN = TrainConfig(epochs=200, lr=0.001, batch_size=32, seed=0)
 @pytest.fixture(scope="session")
 def desk_data():
     """Two illumination presets, 2 000 events per class per scene: 8 000
-    balanced graphs with an 80/20 split, plus the bookkeeping needed to score
-    the conventional filters at the same held-out events."""
-    streams, graphs, labels, scene_of, within = [], [], [], [], []
+    balanced local volumes with an 80/20 split, plus the bookkeeping needed to
+    score the conventional filters at the same held-out events."""
+    streams, feats, masks, labels, scene_of, within = [], [], [], [], [], []
     for si, light in enumerate(("light.750lux", "light.5lux")):
         st = generate(preset_scene(light, seed=100 + si)).stream
         streams.append(st)
         chosen = sample_balanced_indices(st, 2000, seed=si)
-        graphs += graphs_for_indices(st, DESK_SPEC, chosen)
-        labels.append(st.arrays()[4][chosen])
+        t, x, y, _, lab = st.arrays()
+        nbr = batch_neighbor_indices(t, x, y, DESK_SPEC, st.geometry, rows=chosen)
+        f, m = features_from_batch_indices(t, x, y, nbr, DESK_SPEC, rows=chosen)
+        feats.append(f)
+        masks.append(m)
+        labels.append(lab[chosen])
         scene_of += [si] * len(chosen)
         within += [int(i) for i in chosen]
-    labels = np.concatenate(labels)
-    perm = np.random.default_rng(42).permutation(len(graphs))
-    split = int(0.8 * len(graphs))
+    data = TrainingSet(np.concatenate(feats), np.concatenate(masks),
+                       np.concatenate(labels))
+    perm = np.random.default_rng(42).permutation(len(data))
+    split = int(0.8 * len(data))
     return {
         "streams": streams,
-        "graphs": graphs,
-        "labels": labels,
+        "data": data,
+        "labels": data.labels,
         "scene_of": np.array(scene_of),
         "within": np.array(within),
         "train_idx": perm[:split],
@@ -69,13 +74,12 @@ def desk_data():
 
 
 def _train_variant(desk_data, variant: str):
-    d = desk_data
-    dataset = [(d["graphs"][i], int(d["labels"][i])) for i in d["train_idx"]]
+    data, tr, te = desk_data["data"], desk_data["train_idx"], desk_data["test_idx"]
     model = DenoiseModel(seed=0, quantities=QuantitySet.from_variant(variant))
-    train(dataset, model, DESK_TRAIN)
-    test_graphs = [d["graphs"][i] for i in d["test_idx"]]
-    truth = d["labels"][d["test_idx"]]
-    acc = float((model.decide(model.classify_graphs(test_graphs)) == truth).mean())
+    train(TrainingSet(data.feats[tr], data.mask[tr], data.labels[tr]), model,
+          DESK_TRAIN)
+    probs = model.classify_padded(data.feats[te], data.mask[te])
+    acc = float((model.decide(probs) == data.labels[te]).mean())
     return model, acc
 
 
@@ -156,28 +160,45 @@ def oracle_stream():
     return st
 
 
+def oracle_graphs(stream, indices, spec=VolumeSpec()):
+    """Normalized graphs of the events at `indices`, from the brute-force
+    neighbor scan of the full stream prefix."""
+    arrays = stream.arrays()
+    return [normalize_graph(build_graph(
+        stream[int(i)], brute_force_neighbors(arrays, int(i), spec), spec), spec)
+        for i in indices]
+
+
 class TestOracleEquivalence:
     def test_streaming_graphs_match_full_prefix_definition(self, oracle_stream):
+        # both causal searches: the recency store (sequential mode) and the
+        # batch search over chunks of rows (training and batch mode)
         spec = VolumeSpec()
         arrays = oracle_stream.arrays()
+        t, x, y = arrays[0], arrays[1], arrays[2]
+        store = RecencyStore(oracle_stream.geometry, capacity=spec.N_max)
+        chunk = 4096
         checked = 0
-        for i, e, g in stream_graphs(oracle_stream, spec):
-            if g is None:
-                continue
-            ref = normalize_graph(
-                build_graph(e, brute_force_neighbors(arrays, i, spec), spec),
-                spec)
-            assert g == ref, f"graph mismatch at event {i}"
-            checked += 1
+        for lo in range(0, len(t), chunk):
+            rows = np.arange(lo, min(lo + chunk, len(t)))
+            nbr = batch_neighbor_indices(t, x, y, spec, oracle_stream.geometry,
+                                         rows=rows)
+            for i, row in zip(rows, nbr):
+                e = oracle_stream[int(i)]
+                ref = brute_force_neighbors(arrays, int(i), spec)
+                assert store.query(e, spec) == ref, f"store mismatch at event {i}"
+                store.insert(e)
+                got = [GraphNode(int(x[j]), int(y[j]), int(t[j]))
+                       for j in row if j >= 0]
+                assert got == ref, f"batch mismatch at event {i}"
+                checked += 1
         assert checked == len(oracle_stream)
 
     def test_eventconv_fast_path_matches_naive_reference(self, oracle_stream):
-        spec = VolumeSpec()
         model = DenoiseModel(seed=0)
-        graphs = [g for _, _, g in stream_graphs(oracle_stream, spec)
-                  if g is not None]
         rng = np.random.default_rng(0)
-        sample = [graphs[i] for i in rng.choice(len(graphs), 300, replace=False)]
+        sample = oracle_graphs(oracle_stream,
+                               rng.choice(len(oracle_stream), 300, replace=False))
         Qpad, mask = pad_quantity_batch(sample)
         fast = signature_batch_np(Qpad, mask, model.eventconv)
         for row, g in zip(fast, sample):
@@ -193,8 +214,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(1)
         idx = rng.choice(len(t), 2000, replace=False)
         fast = model.classify_padded(feats[idx], mask[idx])
-        graphs = [g for _, _, g in stream_graphs(oracle_stream, spec)]
-        ref = model.classify_graphs([graphs[i] for i in idx])
+        ref = model.classify_graphs(oracle_graphs(oracle_stream, idx))
         np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-10)
 
 
@@ -316,7 +336,7 @@ GEOM = SensorGeometry(64, 48)
 
 
 def _decisions(filt, rows):
-    return list(run_filter(EventStream([Event(*r) for r in rows], GEOM), filt))
+    return list(filt.run_batch(EventStream([Event(*r) for r in rows], GEOM)))
 
 
 class TestBaselineSuites:

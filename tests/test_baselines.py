@@ -4,15 +4,18 @@ Each test feeds a tiny hand-constructed stream where the correct decision
 sequence follows directly from the filter's definition.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from evdenoise.baselines import (DelbruckBAFilter, KhodamoradiFilter,
                                  LiuFilter, NNbFilter, YangFilter,
-                                 make_filter, run_filter)
+                                 make_filter)
 from evdenoise.events import Event, EventStream, SensorGeometry
 
 GEOM = SensorGeometry(64, 48)
+ALGOS = ("ba", "nnb", "liu1", "liu2", "khodamoradi", "yang")
 
 
 def stream(rows):
@@ -20,7 +23,7 @@ def stream(rows):
 
 
 def decisions(filt, rows):
-    return list(run_filter(stream(rows), filt))
+    return list(filt.run_batch(stream(rows)))
 
 
 class TestDelbruckBA:
@@ -179,7 +182,7 @@ class TestYang:
         out = decisions(YangFilter(GEOM), rows)
         assert out == [0] * 30
         filt = YangFilter(GEOM)
-        run_filter(stream(rows), filt)
+        filt.run_batch(stream(rows))
         assert (20, 20) in filt.hot
 
     def test_hot_flag_even_with_late_cluster(self):
@@ -225,6 +228,31 @@ class TestRegistryAndHarness:
             batch = f1.run_batch(stream(rows))
             loop = np.array([f2.step(e) for e in stream(rows)])
             np.testing.assert_array_equal(batch, loop)
+
+    @pytest.mark.parametrize("name", ALGOS)
+    @pytest.mark.parametrize("x,y", [(GEOM.width, 20), (-1, 20), (20, -1)],
+                             ids=["x=W", "x=-1", "y=-1"])
+    def test_out_of_bounds_event_skipped(self, name, x, y):
+        # events on every border, where a bad event stored at its own or a
+        # wrapped-around pixel would be seen by later events
+        rng = np.random.default_rng(1)
+        W, H = GEOM.width, GEOM.height
+        corners = [(0, 19), (W - 3, 19), (19, 0), (19, H - 3)]
+        t = np.sort(rng.integers(0, 4_000, size=400))
+        rows = []
+        for ti in t:
+            cx, cy = corners[int(rng.integers(0, 4))]
+            rows.append((int(ti), cx + int(rng.integers(0, 3)),
+                         cy + int(rng.integers(0, 3)), 1))
+        want = make_filter(name, GEOM).run_batch(stream(rows))
+        assert set(np.unique(want)) == {0, 1}
+        filt = make_filter(name, GEOM)
+        got = [filt.step(e) for e in stream(rows[:200])]
+        state = pickle.dumps(filt)
+        assert filt.step(Event(rows[200][0], x, y, 1)) == -1
+        assert pickle.dumps(filt) == state
+        got += [filt.step(e) for e in stream(rows[200:])]
+        np.testing.assert_array_equal(got, want)
 
     def test_reset_restores_initial_state(self):
         filt = NNbFilter(GEOM)

@@ -169,3 +169,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path),
                  "synth"]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_malformed_csv_exits_2(tmp_path, capsys):
+    events = tmp_path / "bad.csv"
+    events.write_text("t_us,x,y,p,label\n0,1,2,1,1\n10,1,oops,1,1\n")
+    assert main(["--out-dir", str(tmp_path), "filter", str(events),
+                 "--algo", "nnb"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ":3:" in err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+def test_damaged_checkpoint_exits_2(workspace, tmp_path, capsys, damage):
+    blob = (workspace["train"] / "model.ckpt").read_bytes()
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(blob[:-5] if damage == "truncated" else blob + b"junk")
+    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(tmp_path),
+                 "filter", str(workspace["events"]), "--algo", "gnnt",
+                 "--model", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and damage in err

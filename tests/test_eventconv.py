@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import evdenoise.nn.tensor as T
 from evdenoise.eventconv import (VARIANTS, EventConvParams, QuantitySet,
-                                 compute_means, compute_quantities,
+                                 compute_quantities,
                                  eventconv_forward, eventconv_forward_batch,
                                  pad_quantity_batch, quantities_padded,
                                  quantities_tape, signature_batch_np,
@@ -46,7 +46,6 @@ class TestQuantities:
     def test_hand_computed_two_nodes(self):
         # nodes (0.5, 0.5, 0.95) and (0.3, 0.7, 0.55); means (0.4, 0.6, 0.75)
         g = NormalizedGraph((0.5, 0.5, 0.95), (((0.3, 0.7, 0.55)),))
-        assert compute_means(g) == pytest.approx((0.4, 0.6, 0.75))
         Q = compute_quantities(g)
         np.testing.assert_allclose(Q[0, 0:3], [0.1, -0.1, 0.2], atol=1e-15)
         np.testing.assert_allclose(Q[1, 0:3], [-0.1, 0.1, -0.2], atol=1e-15)
@@ -72,19 +71,21 @@ class TestQuantities:
 
     def test_padded_matches_per_graph(self):
         rng = np.random.default_rng(2)
-        graphs = [random_graph(rng, int(rng.integers(0, 10))) for _ in range(20)]
+        graphs = [random_graph(rng, int(rng.integers(0, 11))) for _ in range(500)]
         m_max = max(g.node_count for g in graphs)
-        feats = np.zeros((20, m_max, 3))
-        mask = np.zeros((20, m_max, 1))
+        feats = np.zeros((len(graphs), m_max, 3))
+        mask = np.zeros((len(graphs), m_max, 1))
         for i, g in enumerate(graphs):
             f = g.feature_matrix()
             feats[i, : f.shape[0]] = f
             mask[i, : f.shape[0], 0] = 1.0
         Q = quantities_padded(feats, mask)
+        # bitwise: training takes its quantities from here, where it took
+        # them per graph before
         for i, g in enumerate(graphs):
             m = g.node_count
-            np.testing.assert_allclose(Q[i, :m], compute_quantities(g),
-                                       atol=1e-14)
+            np.testing.assert_array_equal(Q[i, :m], compute_quantities(g))
+            np.testing.assert_array_equal(Q[i, m:], 0.0)
 
 
 class TestSignature:

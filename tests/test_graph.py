@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdenoise.events import Event, EventStream, SensorGeometry
-from evdenoise.graph import (EventGraph, GraphNode, RecencyStore, VolumeSpec,
+from evdenoise.graph import (GraphNode, RecencyStore, VolumeSpec,
                              batch_neighbor_indices, brute_force_neighbors,
-                             build_graph, denormalize_features,
-                             features_from_batch_indices,
-                             graphs_from_batch_indices, node_features_single,
-                             normalize_graph, padded_node_features,
-                             stream_graphs)
+                             build_graph, features_from_batch_indices,
+                             node_features_single, normalize_graph)
 
 GEOM = SensorGeometry(32, 24)
 
@@ -52,7 +49,8 @@ class TestRecencyStore:
         store = RecencyStore(GEOM, capacity=2)
         for t in (10, 20, 30):
             store.insert(Event(t, 3, 3, 1))
-        assert [e[0] for e in store.pixel_entries(3, 3)] == [20, 30]
+        nbrs = store.query(Event(40, 3, 3, 1), VolumeSpec(N_max=10))
+        assert [n.t for n in nbrs] == [30, 20]
 
     def test_spatial_window(self):
         spec = VolumeSpec(L=1, T_us=1000, N_max=10)
@@ -117,14 +115,6 @@ class TestNormalization:
         assert f.shape == (11, 3)
         assert np.all(f >= 0.05 - 1e-12) and np.all(f <= 0.95 + 1e-12)
 
-    def test_denormalize_inverts(self):
-        spec = VolumeSpec()
-        e = Event(100_000, 10, 10, 1)
-        node = GraphNode(9, 12, 73_000)
-        n = normalize_graph(build_graph(e, [node], spec), spec)
-        back = denormalize_features(n.neighbors[0], GraphNode(e.x, e.y, e.t), spec)
-        assert back == node
-
     def test_build_graph_rejects_out_of_window(self):
         spec = VolumeSpec(L=1, T_us=100, N_max=10)
         e = Event(1000, 10, 10, 1)
@@ -136,20 +126,35 @@ class TestNormalization:
 
 class TestStreamGraphs:
     def test_matches_brute_force(self):
+        # the sequential fold: query each event, then insert it
         rng = np.random.default_rng(7)
         stream = random_stream(rng, 400)
         spec = VolumeSpec(L=2, T_us=30_000, N_max=5)
         arrays = stream.arrays()
-        for i, e, g in stream_graphs(stream, spec):
-            oracle = brute_force_neighbors(arrays, i, spec)
-            expected = normalize_graph(build_graph(e, oracle, spec), spec)
-            assert g == expected
+        store = RecencyStore(GEOM, capacity=spec.N_max)
+        for i, e in enumerate(stream):
+            assert store.query(e, spec) == brute_force_neighbors(arrays, i, spec)
+            store.insert(e)
 
     def test_out_of_bounds_skipped(self):
-        stream = EventStream([Event(0, 5, 5, 1), Event(1, 100, 5, 1)],
-                             SensorGeometry(32, 24))
-        results = list(stream_graphs(stream, VolumeSpec()))
-        assert results[0][2] is not None and results[1][2] is None
+        # (5, -1) has the pixel id of (4, H - 1) under x * H + y; it must be
+        # no event's neighbor in either search
+        H = GEOM.height
+        events = [Event(0, 5, -1, 1), Event(1, 4, H - 1, 1), Event(2, 5, 1, 1),
+                  Event(3, 4, H - 2, 1)]
+        stream = EventStream(events, GEOM)
+        t, x, y, _, _ = stream.arrays()
+        nbr = batch_neighbor_indices(t, x, y, VolumeSpec(), GEOM)
+        assert np.all(nbr[:2] == -1)
+        assert list(nbr[2]) == [-1] * 10
+        assert list(nbr[3][:2]) == [1, -1]
+        store = RecencyStore(GEOM)
+        with pytest.raises(ValueError, match="outside"):
+            store.insert(events[0])
+        for e, row in zip(events[1:], nbr[1:]):
+            assert store.query(e, VolumeSpec()) == \
+                [GraphNode(int(x[j]), int(y[j]), int(t[j])) for j in row if j >= 0]
+            store.insert(e)
 
 
 class TestBatchNeighborIndices:
@@ -206,7 +211,9 @@ class TestPaddedFeatures:
         t, x, y = arrays[0], arrays[1], arrays[2]
         nbr = batch_neighbor_indices(t, x, y, spec, GEOM)
         feats, mask = features_from_batch_indices(t, x, y, nbr, spec)
-        graphs = graphs_from_batch_indices(stream, spec, nbr)
+        graphs = [normalize_graph(build_graph(
+            e, brute_force_neighbors(arrays, i, spec), spec), spec)
+            for i, e in enumerate(stream)]
         for i, g in enumerate(graphs):
             m = int(mask[i].sum())
             assert m == g.node_count
@@ -232,8 +239,8 @@ class TestPaddedFeatures:
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 120),
-       st.integers(0, 3), st.integers(1, 8))
-def test_batch_equals_oracle_property(seed, n, L, n_max):
+       st.integers(0, 3), st.integers(1, 8), st.data())
+def test_batch_equals_oracle_property(seed, n, L, n_max, data):
     rng = np.random.default_rng(seed)
     geom = SensorGeometry(12, 10)
     stream = random_stream(rng, n, geom=geom, t_max=5_000)
@@ -246,3 +253,14 @@ def test_batch_equals_oracle_property(seed, n, L, n_max):
         got = [GraphNode(int(x[j]), int(y[j]), int(t[j]))
                for j in nbr[i] if j >= 0]
         assert got == oracle
+    # a row subset, in any order, searches only its own window
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=n, unique=True)))
+    sub = batch_neighbor_indices(t, x, y, spec, geom, rows=rows)
+    for i, row in zip(rows, sub):
+        got = [GraphNode(int(x[j]), int(y[j]), int(t[j])) for j in row if j >= 0]
+        assert got == brute_force_neighbors(arrays, int(i), spec)
+    feats, mask = features_from_batch_indices(t, x, y, sub, spec, rows=rows)
+    full_feats, full_mask = features_from_batch_indices(t, x, y, nbr, spec)
+    np.testing.assert_array_equal(feats, full_feats[rows])
+    np.testing.assert_array_equal(mask, full_mask[rows])

@@ -4,8 +4,8 @@ balanced training-set extraction."""
 import numpy as np
 import pytest
 
-from evdenoise.events import LABEL_NOISE, LABEL_REAL, SensorGeometry, \
-    validate_stream
+from evdenoise.events import (LABEL_NOISE, LABEL_REAL, Event, EventStream,
+                              SensorGeometry, validate_stream)
 from evdenoise.graph import VolumeSpec
 from evdenoise.synth import (LIGHT_PRESETS, GeneratedDataset, HotPixel,
                              MovingEdge, SceneSpec, build_training_set,
@@ -140,32 +140,49 @@ class TestTrainingSet:
     def test_balanced_and_labeled(self):
         ds = generate(simple_scene(noise_rate_hz=3.0, jitter_us=1000.0))
         data = build_training_set(ds.stream, VolumeSpec(), per_class=50, seed=0)
-        labels = [lab for _, lab in data]
         assert len(data) == 100
-        assert labels.count(0) == 50 and labels.count(1) == 50
+        assert data.feats.shape == (100, 11, 3) and data.mask.shape == (100, 11, 1)
+        assert np.count_nonzero(data.labels == 0) == 50
+        assert np.count_nonzero(data.labels == 1) == 50
 
     def test_graphs_match_full_prefix(self):
         from evdenoise.graph import (brute_force_neighbors, build_graph,
                                      normalize_graph)
+        from evdenoise.synth import sample_balanced_indices
         ds = generate(simple_scene(noise_rate_hz=3.0, jitter_us=1000.0))
         spec = VolumeSpec(N_max=5)
         data = build_training_set(ds.stream, spec, per_class=10, seed=1)
         arrays = ds.stream.arrays()
-        # reconstruct which indices were drawn and verify one graph per event
-        built = {g for g, _ in data}
-        oracle = set()
-        for i, e in enumerate(ds.stream):
-            nbrs = brute_force_neighbors(arrays, i, spec)
-            oracle.add(normalize_graph(build_graph(e, nbrs, spec), spec))
-        assert built <= oracle
+        chosen = sample_balanced_indices(ds.stream, 10, seed=1)
+        np.testing.assert_array_equal(data.labels, arrays[4][chosen])
+        for row, i in enumerate(chosen):
+            nbrs = brute_force_neighbors(arrays, int(i), spec)
+            g = normalize_graph(build_graph(ds.stream[int(i)], nbrs, spec), spec)
+            m = g.node_count
+            np.testing.assert_array_equal(data.feats[row, :m], g.feature_matrix())
+            assert data.mask[row].sum() == m and np.all(data.feats[row, m:] == 0)
 
     def test_deterministic(self):
         ds = generate(simple_scene(noise_rate_hz=3.0))
         a = build_training_set(ds.stream, VolumeSpec(), per_class=20, seed=5)
         b = build_training_set(ds.stream, VolumeSpec(), per_class=20, seed=5)
-        assert a == b
+        for name in ("feats", "mask", "labels"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_insufficient_events_rejected(self):
         ds = generate(simple_scene())
         with pytest.raises(ValueError, match="per class"):
             build_training_set(ds.stream, VolumeSpec(), per_class=10**6)
+
+    def test_out_of_bounds_sample_rejected(self):
+        # every event of the smaller class is sampled, one of them off-sensor
+        ds = generate(simple_scene(noise_rate_hz=3.0))
+        lab = ds.stream.arrays()[4]
+        counts = [np.count_nonzero(lab == c) for c in (LABEL_NOISE, LABEL_REAL)]
+        k = int(np.flatnonzero(lab == int(np.argmin(counts)))[5])
+        events = list(ds.stream)
+        e = events[k]
+        events[k] = Event(e.t, ds.stream.geometry.width, e.y, e.p, e.label)
+        stream = EventStream(events, ds.stream.geometry)
+        with pytest.raises(ValueError, match=f"event {k} .* outside"):
+            build_training_set(stream, VolumeSpec(), per_class=min(counts))

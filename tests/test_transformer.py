@@ -9,10 +9,12 @@ from evdenoise.events import Event, EventStream, SensorGeometry
 from evdenoise.eventconv import QuantitySet, compute_quantities
 from evdenoise.graph import NormalizedGraph, VolumeSpec
 from evdenoise.nn.tensor import Parameter, Tensor, finite_diff_check
-from evdenoise.transformer import (DenoiseModel, MHAParams, ModelConfig,
-                                   TrainConfig, attention, decoder_forward,
-                                   encoder_forward, load_model, multi_head,
-                                   predict_stream, save_model, train)
+from evdenoise.synth import TrainingSet
+from evdenoise.transformer import (CheckpointError, DenoiseModel, MHAParams,
+                                   ModelConfig, TrainConfig, attention,
+                                   decoder_forward, encoder_forward,
+                                   load_model, multi_head, predict_stream,
+                                   save_model, train)
 
 GEOM = SensorGeometry(32, 24)
 
@@ -137,16 +139,22 @@ class TestForwardPaths:
         np.testing.assert_allclose(fast, model.classify_graphs(graphs), atol=1e-10)
 
     def test_classify_matches_batch(self):
+        # the unbatched tape path (one signature vector) against the batch
         rng = np.random.default_rng(6)
         model = DenoiseModel(seed=2)
         g = random_graph(rng, 5)
-        h = np.asarray(
-            model.forward_batch([g]).value)  # smoke: logits exist
         probs_graphs = model.classify_graphs([g])[0]
         from evdenoise.eventconv import eventconv_forward
-        sig = eventconv_forward(compute_quantities(g), model.eventconv).value
-        probs_single = model.classify(sig)
+        sig = eventconv_forward(compute_quantities(g), model.eventconv)
+        logits = model.logits_from_signature(sig, batched=False)
+        probs_single = T.softmax(logits, axis=-1).value
         np.testing.assert_allclose(probs_single, probs_graphs, atol=1e-12)
+
+    def test_empty_batch(self):
+        model = DenoiseModel(seed=0)
+        probs = model.classify_padded(np.zeros((0, 11, 3)), np.zeros((0, 11, 1)))
+        assert probs.shape == (0, 2)
+        assert model.decide(probs).shape == (0,)
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(7)
@@ -192,6 +200,25 @@ class TestPredictStream:
         d2, _ = predict_stream(stream, model, mode="batch", chunk_size=300)
         assert np.array_equal(d1, d2)
 
+    def test_chunks_within_the_time_window_equal_seq(self):
+        # ~40 events per T_us window on a small sensor, so a window spans
+        # many chunks of 1 and 7 events; out-of-bounds events sit in between
+        rng = np.random.default_rng(16)
+        model = DenoiseModel(volume=VolumeSpec(L=2, T_us=20_000, N_max=6), seed=4)
+        perturb(model, rng, scale=0.1)
+        geom = SensorGeometry(10, 8)
+        stream = random_stream(rng, 500, geom=geom, t_max=250_000)
+        for i in (3, 100, 101, 377):
+            e = stream.events[i]
+            stream.events[i] = Event(e.t, (-1, geom.width)[i % 2], e.y, e.p)
+        d_seq, s_seq = predict_stream(stream, model, mode="seq")
+        assert s_seq == [3, 100, 101, 377]
+        assert 0 < d_seq[d_seq >= 0].mean() < 1
+        for chunk in (1, 7, 4096):
+            d, s = predict_stream(stream, model, mode="batch", chunk_size=chunk)
+            np.testing.assert_array_equal(d, d_seq)
+            assert s == s_seq
+
     def test_out_of_bounds_skipped(self):
         model = DenoiseModel(seed=0)
         stream = EventStream([Event(0, 5, 5, 1), Event(1, 99, 5, 1)],
@@ -221,7 +248,7 @@ class TestPlanStaleness:
         before = model.classify_padded(*padded(graphs))
         predict_stream(random_stream(rng, 200), model, mode="seq")
 
-        train(TestTraining.toy_dataset(rng, n=32), model,
+        train(TestTraining.toy_dataset(rng, n=32)[0], model,
               TrainConfig(epochs=1, batch_size=8, lr=0.01, seed=0))
         assert not np.allclose(model.classify_padded(*padded(graphs)), before)
         self.assert_fast_matches_tape(model, graphs)
@@ -240,8 +267,9 @@ class TestPlanStaleness:
 class TestTraining:
     @staticmethod
     def toy_dataset(rng, n=120):
-        # separable toy task: "real" graphs are dense in time, "noise" sparse
-        data = []
+        """A TrainingSet and its graphs for a separable toy task: "real"
+        graphs are dense in time, "noise" sparse."""
+        graphs, labels = [], []
         for i in range(n):
             label = i % 2
             if label == 1:
@@ -250,24 +278,22 @@ class TestTraining:
                 ts = rng.uniform(0.05, 0.35, size=(2, 1))
             xy = rng.uniform(0.3, 0.7, size=(ts.shape[0], 2))
             pts = np.hstack([xy, ts])
-            data.append((NormalizedGraph((0.5, 0.5, 0.95),
-                                         tuple(map(tuple, pts))), label))
-        return data
+            graphs.append(NormalizedGraph((0.5, 0.5, 0.95), tuple(map(tuple, pts))))
+            labels.append(label)
+        return TrainingSet(*padded(graphs), np.array(labels)), graphs
 
     def test_loss_decreases_and_fits(self):
         rng = np.random.default_rng(11)
-        data = self.toy_dataset(rng)
+        data, graphs = self.toy_dataset(rng)
         model = DenoiseModel(seed=7)
         hist = train(data, model, TrainConfig(epochs=25, batch_size=16, seed=0))
         assert hist[-1] < hist[0] * 0.5
-        graphs = [g for g, _ in data]
-        labels = np.array([l for _, l in data])
         pred = model.decide(model.classify_graphs(graphs))
-        assert (pred == labels).mean() >= 0.95
+        assert (pred == data.labels).mean() >= 0.95
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
-        data = self.toy_dataset(rng, n=40)
+        data, _ = self.toy_dataset(rng, n=40)
         h1 = train(data, DenoiseModel(seed=8),
                    TrainConfig(epochs=3, batch_size=8, seed=1))
         h2 = train(data, DenoiseModel(seed=8),
@@ -297,5 +323,20 @@ class TestCheckpoint:
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"whatever")
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(CheckpointError, match="checkpoint"):
             load_model(path)
+
+    def test_rejects_truncated_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(DenoiseModel(seed=1), path)
+        blob = path.read_bytes()
+        # cut inside the magic, a length field, the header, and the last value
+        for cut in (4, 10, 30, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_model(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_model(path)
+        path.write_bytes(blob)
+        load_model(path)
