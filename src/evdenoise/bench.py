@@ -218,6 +218,26 @@ def format_metric(v: float) -> str:
     return f"{v:.6f}"
 
 
+class DecisionFileError(ValueError):
+    """Raised when a decisions file is malformed or does not hold one
+    decision per event."""
+
+
+def read_decisions(path, n_events: int) -> np.ndarray:
+    """The per-event decisions (-1, 0 or 1) a `filter` run wrote, one per
+    line, checked against the stream's length."""
+    try:
+        decisions = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise DecisionFileError(f"{path}: {exc}") from None
+    if len(decisions) != n_events:
+        raise DecisionFileError(f"{path}: {len(decisions)} decisions for a stream "
+                                f"of {n_events} events")
+    if np.any((decisions < -1) | (decisions > 1)):
+        raise DecisionFileError(f"{path}: decisions must be -1, 0 or 1")
+    return decisions
+
+
 def write_metrics_csv(path, rows: Sequence[Tuple[str, ConfusionCounts, Metrics]]) -> None:
     with open(path, "w") as f:
         f.write(CONVENTION_NOTE + "\n")

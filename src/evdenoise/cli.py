@@ -17,7 +17,8 @@ from .config import ConfigError, RunConfig, parse_scene_file
 from .events import EventFormatError, EventStream, read_events, write_events
 from .eventconv import QuantitySet
 from .graph import VolumeSpec
-from .kogtl import LabelingConfig, kogtl_pipeline, read_frame_dir, write_pgm
+from .kogtl import (FrameFormatError, LabelingConfig, kogtl_pipeline,
+                    read_frame_dir, write_pgm)
 from .synth import build_training_set, generate, preset_scene
 from .transformer import (CheckpointError, DenoiseModel, SequentialDecider,
                           TrainConfig, load_model, predict_stream, save_model,
@@ -170,7 +171,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     stream = read_events(args.events, geometry=cfg.geometry())
     t, _, _, _, truth = stream.arrays()
-    decisions = np.loadtxt(args.decisions, dtype=np.int64)
+    decisions = bench.read_decisions(args.decisions, len(stream))
     keep = (truth >= 0) & (decisions >= 0)
     c = bench.confusion(decisions[keep], truth[keep])
     m = bench.metrics_from_counts(c)
@@ -292,8 +293,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, EventFormatError,
-            CheckpointError) as exc:
+    except (ConfigError, FileNotFoundError, EventFormatError, CheckpointError,
+            FrameFormatError, bench.DecisionFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

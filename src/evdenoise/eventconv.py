@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import expit
 
 from .graph import NormalizedGraph
 from .nn import tensor as T
@@ -68,6 +69,9 @@ class EventConvParams:
                   for q in quantities.selected}
         self.b = {q: T.init_uniform(rng, (wdt,), 1, f"eventconv.b{q}")
                   for q in quantities.selected}
+        # stored back to back, so the weights and biases of every quantity
+        # are one (q, 2, wdt) view
+        T.ParameterBuffer(self.parameters())
 
     def parameters(self) -> List[Parameter]:
         out = []
@@ -143,19 +147,51 @@ def eventconv_forward(Q, params: EventConvParams) -> Tensor:
 
 
 def eventconv_forward_batch(Qpad, mask, params: EventConvParams) -> Tensor:
-    """Batched signature over padded quantity tensors.
+    """Batched signature over padded quantity tensors, as one tape node.
 
-    Qpad: (B, m_max, 7) with arbitrary values at padded slots; mask:
-    (B, m_max, 1) with 1.0 at real nodes.  Padded slots contribute nothing.
+    Qpad: (B, m_max, 7) with arbitrary values at padded slots, an array or
+    a Tensor (which then gets its gradient too); mask: (B, m_max, 1) with
+    1.0 at real nodes.  Padded slots contribute nothing.  The per-quantity
+    op chain of eventconv_forward is its oracle.
     """
     Qt = Qpad if isinstance(Qpad, Tensor) else Tensor(np.asarray(Qpad, dtype=np.float64))
-    maskt = mask if isinstance(mask, Tensor) else Tensor(np.asarray(mask, dtype=np.float64))
-    parts = []
-    for q in params.quantities.selected:
-        col = T.matmul(Qt, Tensor(_basis_column(q)))            # (B, m, 1)
-        act = T.sigmoid(T.add(T.matmul(col, params.w[q]), params.b[q]))
-        parts.append(T.tsum(T.mul(act, maskt), axis=1))         # (B, wdt)
-    return T.concat(parts, axis=-1)                             # (B, q * wdt)
+    mask = np.asarray(mask.value if isinstance(mask, Tensor) else mask,
+                      dtype=np.float64)[..., None]              # (B, m, 1, 1)
+    Wb, grad = _packed(params)
+    W, b = Wb[:, 0], Wb[:, 1]                                   # (q, wdt)
+    cols = _columns(params)
+    Qsel = Qt.value[..., None] if cols is None else Qt.value[:, :, cols, None]
+    act = expit(Qsel * W + b)                                   # (B, m, q, wdt)
+    masked = act * mask
+    B = Qsel.shape[0]
+
+    def backward(g):
+        dz = masked * (1.0 - act)
+        dz *= g.reshape(B, 1, *W.shape)
+        grad[:, 0] += (dz * Qsel).sum(axis=(0, 1))
+        grad[:, 1] += dz.sum(axis=(0, 1))
+        if T.needs_grad(Qt):
+            dsel = (dz * W).sum(axis=-1)                        # (B, m, q)
+            if cols is None:
+                Qt._accum(dsel)
+            else:
+                dQ = np.zeros_like(Qt.value)
+                dQ[:, :, cols] = dsel
+                Qt._accum(dQ)
+
+    return T.fused(masked.sum(axis=1).reshape(B, W.size), (Qt,), backward)
+
+
+def _packed(params: EventConvParams) -> Tuple[np.ndarray, np.ndarray]:
+    """(q, 2, wdt) value and gradient views: each quantity's weight, then
+    its bias, as parameters() lists them."""
+    return T.packed(params.parameters(), (params.quantities.count, 2, params.wdt))
+
+
+def _columns(params: EventConvParams) -> Optional[np.ndarray]:
+    """Q columns of the selection; None for all 7 in order."""
+    sel = list(params.quantities.selected)
+    return None if sel == list(range(1, 8)) else np.array(sel) - 1
 
 
 class PackedEventConv(NamedTuple):
@@ -167,11 +203,8 @@ class PackedEventConv(NamedTuple):
 
 
 def pack_eventconv(params: EventConvParams) -> PackedEventConv:
-    sel = list(params.quantities.selected)
-    return PackedEventConv(
-        np.stack([params.w[q].value[0] for q in sel]),
-        np.stack([params.b[q].value for q in sel]),
-        None if sel == list(range(1, 8)) else np.array(sel) - 1)
+    Wb = _packed(params)[0]
+    return PackedEventConv(Wb[:, 0].copy(), Wb[:, 1].copy(), _columns(params))
 
 
 def signature_batch_np(Q: np.ndarray, mask: np.ndarray,

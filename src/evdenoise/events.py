@@ -157,11 +157,19 @@ def write_events(stream: EventStream, path, format: str = "csv") -> None:
                 lab = "" if e.label is None else str(e.label)
                 f.write(f"{e.t},{e.x},{e.y},{e.p},{lab}\n")
     elif format in ("bin", "binary"):
+        # packed in memory first (16 bytes per event), so an event the
+        # record cannot hold leaves no half-written file
+        data = bytearray(BIN_MAGIC)
+        for i, e in enumerate(stream):
+            lab = -1 if e.label is None else e.label
+            try:
+                data += _BIN_RECORD.pack(e.t, e.x, e.y, e.p, lab)
+            except struct.error:
+                raise EventFormatError(
+                    f"{path}: event {i} (t={e.t}, x={e.x}, y={e.y}) does not fit "
+                    f"the binary record (x and y in 0..65535)") from None
         with open(path, "wb") as f:
-            f.write(BIN_MAGIC)
-            for e in stream:
-                lab = -1 if e.label is None else e.label
-                f.write(_BIN_RECORD.pack(e.t, e.x, e.y, e.p, lab))
+            f.write(data)
     else:
         raise ValueError(f"unknown format {format!r}")
 

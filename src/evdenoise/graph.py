@@ -11,7 +11,7 @@ the independent oracle both are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -134,17 +134,27 @@ def normalize_graph(g: EventGraph, spec: VolumeSpec) -> NormalizedGraph:
     return NormalizedGraph(norm(g.interest), tuple(norm(nb) for nb in g.neighbors))
 
 
-def brute_force_neighbors(stream_arrays, i: int, spec: VolumeSpec) -> List[GraphNode]:
+def brute_force_neighbors(stream_arrays, i: int, spec: VolumeSpec,
+                          geometry: Optional[SensorGeometry] = None) -> List[GraphNode]:
     """Independent definition of the neighbor query: scan the full stream
     prefix with the volume predicate and keep the N_max most recent.
 
     `stream_arrays` is the (t, x, y, p, label) tuple from EventStream.arrays().
+    Off-sensor events are no event's neighbors, as in both model searches:
+    with `geometry`, an event outside it has none either; without, only
+    events with a negative coordinate are known to be off the sensor.
     """
     t, x, y = stream_arrays[0], stream_arrays[1], stream_arrays[2]
     ti, xi, yi = t[i], x[i], y[i]
+    if geometry is not None and not geometry.contains(xi, yi):
+        return []
     lo = int(np.searchsorted(t[:i], ti - spec.T_us, side="left"))
     idx = np.arange(lo, i)
-    mask = (np.abs(x[lo:i] - xi) <= spec.L) & (np.abs(y[lo:i] - yi) <= spec.L)
+    xs, ys = x[lo:i], y[lo:i]
+    mask = (np.abs(xs - xi) <= spec.L) & (np.abs(ys - yi) <= spec.L) \
+        & (xs >= 0) & (ys >= 0)
+    if geometry is not None:
+        mask &= (xs < geometry.width) & (ys < geometry.height)
     idx = idx[mask]
     # most recent by (t desc, arrival desc); prefix is time-sorted so the
     # last N_max indices are exactly the most recent

@@ -243,15 +243,23 @@ def write_pgm(frame: ApsFrame, path) -> None:
         f.write(img.tobytes())
 
 
+class FrameFormatError(ValueError):
+    """Raised when a frame file is malformed or a frame directory holds no
+    frames."""
+
+
 def read_pgm(path, t_us: int = None, pose_tag: str = "") -> ApsFrame:
     with open(path, "rb") as f:
         data = f.read()
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if not m:
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise FrameFormatError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = (int(g) for g in m.groups())
     if maxval > 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported")
+        raise FrameFormatError(f"{path}: only 8-bit PGM supported")
+    if len(data) - m.end() < w * h:
+        raise FrameFormatError(f"{path}: truncated image, {len(data) - m.end()} "
+                               f"of {w * h} pixel bytes")
     pixels = np.frombuffer(data[m.end():], dtype=np.uint8, count=w * h)
     if t_us is None:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -266,5 +274,7 @@ def read_frame_dir(dirpath) -> List[ApsFrame]:
     for name in sorted(os.listdir(dirpath)):
         if name.lower().endswith(".pgm"):
             frames.append(read_pgm(os.path.join(dirpath, name)))
+    if not frames:
+        raise FrameFormatError(f"{dirpath}: no .pgm frames")
     frames.sort(key=lambda f: f.t_us)
     return frames

@@ -3,11 +3,18 @@
 Float64 throughout; every primitive records itself on an implicit tape
 (the Tensor graph) so a single backward() call accumulates exact gradients.
 Reductions run in fixed row-major order for bit-reproducible training.
+
+Training records coarse nodes: `fused` wraps an op with its own analytic
+backward (a whole pre-norm transformer block, the EventConv signature), so
+a step is about a dozen nodes.  The fine-grained primitives below are the
+independent oracle those fused ops are checked against, and serve gradient
+checks.  Parameters live in flat ParameterBuffers as named views, so Adam
+updates a model in a few vector operations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import expit
@@ -35,8 +42,11 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # a copy, never g itself: one array may reach several inputs
+            self.grad = g.copy() if g.shape == self.value.shape \
+                else np.zeros_like(self.value) + g
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-accumulate d(self)/d(leaf) into .grad for every reachable
@@ -67,10 +77,93 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor."""
+    """A named trainable tensor.
+
+    Its value and gradient are views into the flat vectors of a
+    ParameterBuffer (a buffer of its own until a model's buffer adopts it),
+    so `p.value = v` and `p.grad = g` copy into the views and reach every
+    other view of the buffer.  The gradient reads as zeros once cleared
+    (`p.grad = None`).
+    """
+
+    __slots__ = ("_value", "_grad", "buffer", "offset")
 
     def __init__(self, value, name: str):
-        super().__init__(value, requires_grad=True, name=name)
+        self._value = np.array(value, dtype=np.float64)
+        self._grad = np.zeros_like(self._value)
+        self._parents = ()
+        self._backward = None
+        self.requires_grad = True
+        self.name = name
+        ParameterBuffer([self])
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, v) -> None:
+        if np.shape(v) != self._value.shape:
+            raise ValueError(f"{self.name}: cannot assign shape {np.shape(v)} "
+                             f"to a parameter of shape {self._value.shape}")
+        self._value[...] = v
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if g is None:
+            self._grad.fill(0.0)
+        else:
+            self._grad[...] = g
+
+    def _accum(self, g: np.ndarray) -> None:
+        self._grad += g
+
+
+class ParameterBuffer:
+    """Parameters stored back to back, in order, in one flat value vector
+    and one flat gradient vector; each parameter's value and grad become
+    views into them (values are carried over, gradients start cleared)."""
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.params = list(params)
+        self.value = np.concatenate([p.value.ravel() for p in self.params]) \
+            if self.params else np.zeros(0)
+        self.grad = np.zeros_like(self.value)
+        offset = 0
+        for p in self.params:
+            end = offset + p.value.size
+            shape = p.value.shape
+            p._value = self.value[offset:end].reshape(shape)
+            p._grad = self.grad[offset:end].reshape(shape)
+            p.buffer, p.offset = self, offset
+            offset = end
+
+
+def packed(params: Sequence[Parameter], shape) -> Tuple[np.ndarray, np.ndarray]:
+    """Value and gradient views of `shape` over `params`, which must lie
+    back to back, in this order, in one buffer (as a buffer's parameters
+    list them)."""
+    buf, start = params[0].buffer, params[0].offset
+    end = start
+    for p in params:
+        if p.buffer is not buf or p.offset != end:
+            raise ValueError(f"{p.name} does not follow the parameters before "
+                             f"it in one buffer")
+        end += p.value.size
+    return view(buf.value[start:end], shape), view(buf.grad[start:end], shape)
+
+
+def view(a: np.ndarray, shape) -> np.ndarray:
+    """`a` reshaped without a copy (writes must reach `a`); raises where its
+    layout would need one."""
+    out = a.reshape(shape)
+    if out.size and not np.may_share_memory(out, a):
+        raise ValueError(f"cannot view an array of strides {a.strides} as {shape}")
+    return out
 
 
 def _as_tensor(v) -> Tensor:
@@ -84,6 +177,23 @@ def _make(value, parents, backward) -> Tensor:
         out._backward = backward
         out.requires_grad = any(p.requires_grad for p in parents)
     return out
+
+
+def fused(value, inputs: Sequence[Tensor], backward) -> Tensor:
+    """A tape node for an op with its own analytic backward.
+
+    `backward(g)` accumulates into those `inputs` that need a gradient and
+    adds parameter gradients to their buffer views itself, so the node
+    always records.
+    """
+    out = Tensor(value, requires_grad=True)
+    out._parents = tuple(inputs)
+    out._backward = backward
+    return out
+
+
+def needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -326,55 +436,79 @@ def cross_entropy(logits, labels) -> Tensor:
         lv = lv[None, :]
     lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     C = lv.shape[-1]
+    if lab.shape != lv.shape[:1]:
+        raise ValueError(f"{lab.shape[0]} labels for {lv.shape[0]} rows of logits")
     if np.any((lab < 0) | (lab >= C)):
         raise ValueError(f"label out of range [0, {C})")
     if not np.all(np.isfinite(lv)):
         raise ValueError("non-finite logits")
     m = lv.max(axis=-1, keepdims=True)
     lse = m[..., 0] + np.log(np.exp(lv - m).sum(axis=-1))
-    picked = np.take_along_axis(lv, lab[:, None], axis=-1)[:, 0]
-    losses = lse - picked
-    value = losses.mean()
     B = lab.shape[0]
+    rows = np.arange(B)
+    losses = lse - lv[rows, lab]
+    value = losses.mean()
 
     def backward(g):
         p = np.exp(lv - m)
         p /= p.sum(axis=-1, keepdims=True)
-        onehot = np.zeros_like(lv)
-        np.put_along_axis(onehot, lab[:, None], 1.0, axis=-1)
-        gl = g * (p - onehot) / B
+        p[rows, lab] -= 1.0
+        gl = g * p / B
         logits._accum(gl[0] if scalar_input else gl)
 
     return _make(value, (logits,), backward)
 
 
-class AdamState:
-    """Per-parameter first/second-moment accumulators and a step counter."""
+Parameters = Union[ParameterBuffer, Sequence[Parameter]]
 
-    def __init__(self, params: Sequence[Parameter],
+
+def _size(params: Parameters) -> int:
+    if isinstance(params, ParameterBuffer):
+        return params.value.size
+    return sum(p.value.size for p in params)
+
+
+class AdamState:
+    """First/second-moment accumulators, flat over the parameters in
+    order, and a step counter."""
+
+    def __init__(self, params: Parameters,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
-        self.m = {id(p): np.zeros_like(p.value) for p in params}
-        self.v = {id(p): np.zeros_like(p.value) for p in params}
+        self.m = np.zeros(_size(params))
+        self.v = np.zeros(_size(params))
 
 
-def adam_step(params: Sequence[Parameter], state: AdamState, lr: float) -> None:
-    """Standard Adam update with bias correction; gradients are cleared."""
+def adam_step(params: Parameters, state: AdamState, lr: float) -> None:
+    """Standard Adam update with bias correction; gradients are cleared.
+
+    A ParameterBuffer is updated as one flat vector; a sequence of
+    parameters one by one, with the same elementwise arithmetic.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
-        m = state.m[id(p)]
-        v = state.v[id(p)]
+
+    def update(value, g, m, v):
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+    if isinstance(params, ParameterBuffer):
+        update(params.value, params.grad, state.m, state.v)
+        params.grad.fill(0.0)
+        return
+    offset = 0
+    for p in params:
+        end = offset + p.value.size
+        update(p.value, p.grad, state.m[offset:end].reshape(p.value.shape),
+               state.v[offset:end].reshape(p.value.shape))
         p.grad = None
+        offset = end
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int, name: str) -> Parameter:

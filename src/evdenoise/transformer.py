@@ -174,59 +174,79 @@ def decoder_forward(enc_out, layers: Sequence[DecoderLayerParams]) -> Tensor:
     return z
 
 
-# -- packed inference plan ---------------------------------------------------
-# Streaming prediction evaluates the model through an InferencePlan: its
-# weights packed once into a few GEMM operands and run in plain numpy,
-# without per-op tape bookkeeping.  Training and gradient checks use the
-# tape ops.
-#
+# -- fused blocks: training and inference -----------------------------------
 # Every pre-norm residual block (an encoder attention or FFN, a decoder's
 # pair of attention blocks, a decoder FFN) is  x + act(LN(x) @ W + b) @ Wo.
 # The LayerNorm's gain and bias fold into W:
 #     LN(x) @ W = ((x - mean) * inv) @ (diag(gain) W) + bias @ W,
 # with inv = 1/sqrt(var + eps) per token; centering is one GEMM against
-# C = I - 11^T/D, shared by every block of the plan.  Both
+# C = I - 11^T/D, and the variance one more, because reductions over the
+# short token axis run much faster as GEMMs than as ufunc reduce.  Both
 # decoder attention blocks read the same layer input (as published), so
 # they share one normalization and run as one attention over all their
 # heads, and the stacked [wo1; wo2] projection sums their outputs.
-# Summation order differs from the tape forward, so the two agree to
+#
+# Training runs each block as one fused tape node (prenorm_attention,
+# prenorm_ffn) over views into the model's parameter buffer, refolding the
+# weights every step; streaming prediction folds them once into an
+# InferencePlan and runs plain numpy.  The unfused tape ops
+# (encoder_forward, decoder_forward, logits_from_signature) are the oracle
+# of both.  Summation order differs from theirs, so the paths agree to
 # rounding (the release gate holds them to 1e-10), not bit for bit.
 
-class _Block(NamedTuple):
-    w_in: np.ndarray                # (D, P): diag(gain) W
-    b_in: np.ndarray                # (P,): bias @ W, plus the FFN's b1
-    w_out: np.ndarray               # (P_out, D)
-    b_out: Optional[np.ndarray]     # (D,) FFN output bias; None for attention
-    heads: int                      # attention heads; 0 for an FFN block
+class _Attn(NamedTuple):
+    """Views of the (norm, attention) pairs that read one block input:
+    their parameter values, or their gradients."""
+
+    gain: np.ndarray                # (P, D) per pair
+    bias: np.ndarray                # (P, D)
+    w: np.ndarray                   # (P, 3, H, D, dh): wq, wk, wv of each head
+    wo: np.ndarray                  # (P, H * dh, D)
 
 
-def _fold_norm(ln: LayerNormParams, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """diag(gain) w and bias @ w, so that LN(x) @ w = xhat @ first + second."""
-    return ln.gain.value[:, None] * w, ln.bias.value @ w
+class _FFN(NamedTuple):
+    """Views of a (norm, FFN) pair: its parameter values, or gradients."""
+
+    gain: np.ndarray                # (D,)
+    bias: np.ndarray                # (D,)
+    w1: np.ndarray                  # (D, F)
+    b1: np.ndarray                  # (F,)
+    w2: np.ndarray                  # (F, D)
+    b2: np.ndarray                  # (D,)
 
 
-def _attention_block(pairs: Sequence[Tuple[LayerNormParams, MHAParams]]) -> _Block:
-    """One block for every (norm, attention) pair that reads the same input.
+def _attn_views(pairs: Sequence[Tuple[LayerNormParams, MHAParams]]) -> Tuple[_Attn, _Attn]:
+    """Value and gradient views of pairs stored back to back (norm, then
+    attention, as parameters() lists them)."""
+    params = [p for ln, mha in pairs for p in (*ln.parameters(), *mha.parameters())]
+    mha = pairs[0][1]
+    (D, dh), H = mha.wq[0].shape, len(mha.wq)
+    qkv = 3 * H * D * dh
 
-    Projection columns run q, k, v, each over the heads of every pair in
-    order; the 1/sqrt(d_q) score scale is folded into the q columns.
-    """
-    scale = 1.0 / np.sqrt(pairs[0][1].head_dim)
-    ws, bs = [], []
-    for part, s in (("wq", scale), ("wk", 1.0), ("wv", 1.0)):
-        for ln, mha in pairs:
-            w, b = _fold_norm(ln, np.concatenate(
-                [p.value for p in getattr(mha, part)], axis=1) * s)
-            ws.append(w)
-            bs.append(b)
-    return _Block(np.concatenate(ws, axis=1), np.concatenate(bs),
-                  np.concatenate([mha.wo.value for _, mha in pairs]),
-                  None, sum(len(mha.wq) for _, mha in pairs))
+    def split(flat):
+        return _Attn(flat[:, :D], flat[:, D: 2 * D],
+                     T.view(flat[:, 2 * D: 2 * D + qkv], (-1, 3, H, D, dh)),
+                     T.view(flat[:, 2 * D + qkv:], (-1, H * dh, D)))
+
+    value, grad = T.packed(params, (len(pairs), 2 * D + qkv + H * dh * D))
+    return split(value), split(grad)
 
 
-def _ffn_block(ln: LayerNormParams, ffn: FFNParams) -> _Block:
-    w, b = _fold_norm(ln, ffn.w1.value)
-    return _Block(w, b + ffn.b1.value, ffn.w2.value.copy(), ffn.b2.value.copy(), 0)
+def _ffn_views(ln: LayerNormParams, ffn: FFNParams) -> Tuple[_FFN, _FFN]:
+    params = [*ln.parameters(), *ffn.parameters()]
+    return _FFN(*(p.value for p in params)), _FFN(*(p.grad for p in params))
+
+
+def _block_views(model: "DenoiseModel") -> List[Tuple[NamedTuple, NamedTuple]]:
+    """(values, gradients) of every pre-norm block in order, as _Attn or
+    _FFN views."""
+    blocks = []
+    for lp in model.encoder:
+        blocks += [_attn_views([(lp.ln1, lp.mha)]), _ffn_views(lp.ln2, lp.ffn)]
+    for lp in model.decoder:
+        blocks += [_attn_views([(lp.ln1, lp.mha1), (lp.ln2, lp.mha2)]),
+                   _ffn_views(lp.ln3, lp.ffn)]
+    return blocks
 
 
 @functools.lru_cache(maxsize=8)
@@ -234,6 +254,65 @@ def _ones_column(n: int) -> np.ndarray:
     col = np.ones((n, 1))
     col.flags.writeable = False
     return col
+
+
+@functools.lru_cache(maxsize=8)
+def _centering(D: int) -> Tuple[np.ndarray, np.ndarray]:
+    """C = I - 11^T/D and the (D, 1) mean column, read-only."""
+    center, mean = np.eye(D) - 1.0 / D, np.full((D, 1), 1.0 / D)
+    center.flags.writeable = mean.flags.writeable = False
+    return center, mean
+
+
+def _normalize(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(xhat, inv) of tokens x (N, D): xhat = (x - mean) * inv."""
+    center, mean = _centering(x.shape[1])
+    xhat = x @ center
+    inv = ((xhat * xhat) @ mean + T.LAYER_NORM_EPS) ** -0.5
+    xhat *= inv
+    return xhat, inv
+
+
+def _normalize_backward(dxhat: np.ndarray, xhat: np.ndarray,
+                        inv: np.ndarray) -> np.ndarray:
+    center, mean = _centering(xhat.shape[1])
+    return (dxhat @ center - xhat * ((dxhat * xhat) @ mean)) * inv
+
+
+def _fold_attention(a: _Attn) -> Tuple[np.ndarray, np.ndarray]:
+    """The block's (D, 3 * P * H * dh) input projection and its bias, with
+    the gains and the 1/sqrt(d_q) score scale folded in.  Columns run q, k,
+    v, each over the heads of every pair in order."""
+    P, _, H, D, dh = a.w.shape
+    scale = 1.0 / np.sqrt(dh)
+    w = np.empty((D, 3, P, H, dh))
+    np.multiply(a.w.transpose(3, 1, 0, 2, 4), a.gain.T[:, None, :, None, None], out=w)
+    w[:, 0] *= scale
+    b = np.empty((3, P, H, dh))
+    b[...] = (a.bias[:, None, None, None, :] @ a.w)[:, :, :, 0].transpose(1, 0, 2, 3)
+    b[0] *= scale
+    return w.reshape(D, -1), b.reshape(-1)
+
+
+def _unfold_attention(a: _Attn, grad: _Attn, dw: np.ndarray, db: np.ndarray) -> None:
+    """Add to `grad` the gradients of the weights behind _fold_attention's
+    projection, given the gradients `dw`, `db` of that projection and bias
+    (both scaled in place)."""
+    P, _, H, D, dh = a.w.shape
+    scale = 1.0 / np.sqrt(dh)
+    dw = dw.reshape(D, 3, P, H, dh)
+    db = db.reshape(3, P, H, dh)
+    dw[:, 0] *= scale
+    db[0] *= scale
+    dw = dw.transpose(2, 1, 3, 0, 4)                       # (P, 3, H, D, dh)
+    db = db.transpose(1, 0, 2, 3)[:, :, :, None]           # (P, 3, H, 1, dh)
+    grad.w[...] += dw * a.gain[:, None, None, :, None] + a.bias[:, None, None, :, None] * db
+    grad.gain[...] += (a.w * dw).sum(axis=(1, 2, 4))
+    grad.bias[...] += (a.w * db).sum(axis=(1, 2, 4))
+
+
+def _fold_ffn(f: _FFN) -> Tuple[np.ndarray, np.ndarray]:
+    return f.gain[:, None] * f.w1, f.bias @ f.w1 + f.b1
 
 
 def _np_softmax(v: np.ndarray) -> np.ndarray:
@@ -249,12 +328,143 @@ def _np_softmax(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, keeping it, as one 2-D GEMM against a ones
+    column (`v @ ones` on a 4-D v loops over the leading axes)."""
+    n = v.shape[-1]
+    return (v.reshape(-1, n) @ _ones_column(n)).reshape(*v.shape[:-1], 1)
+
+
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """The last two axes swapped, contiguous: a strided transpose as a
+    matmul operand takes its slow non-BLAS loop."""
+    return np.ascontiguousarray(m.swapaxes(-1, -2))
+
+
+def _split_heads(qkv: np.ndarray, B: int, S: int, heads: int) -> np.ndarray:
+    """Projected tokens (B * S, 3 * heads * dh) as (3, B, heads, S, dh)
+    views: q, k and v."""
+    dh = qkv.shape[1] // (3 * heads)
+    return qkv.reshape(B, S, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+
+
+def _merge_heads(z: np.ndarray) -> np.ndarray:
+    """Per-head outputs (B, heads, S, dh) as concatenated tokens."""
+    B, heads, S, dh = z.shape
+    return z.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
+
+
+def prenorm_attention(x: Tensor, value: _Attn, grad: _Attn) -> Tensor:
+    """x + sum_p MHA_p(LN_p(x)) over tokens x (B, S, D), as one tape node;
+    its backward adds the weight gradients to the `grad` views."""
+    B, S, D = x.shape
+    X = x.value.reshape(B * S, D)
+    P, _, H, _, dh = value.w.shape
+    xhat, inv = _normalize(X)
+    w_in, b_in = _fold_attention(value)
+    qkv = xhat @ w_in
+    qkv += b_in
+    q, k, v = _split_heads(qkv, B, S, P * H)
+    att = _np_softmax(q @ _transposed(k))                 # (B, P * H, S, S)
+    z = _merge_heads(att @ v)
+    w_out = value.wo.reshape(-1, D)
+    y = z @ w_out
+    y += X
+
+    def backward(g):
+        G = g.reshape(B * S, D)
+        grad.wo[...] += (z.T @ G).reshape(grad.wo.shape)
+        dz = (G @ w_out.T).reshape(B, S, P * H, dh).transpose(0, 2, 1, 3)
+        dqkv = np.empty_like(qkv)
+        dq, dk, dv = _split_heads(dqkv, B, S, P * H)
+        np.matmul(att.swapaxes(-1, -2), dz, out=dv)
+        ds = dz @ _transposed(v)
+        ds -= _row_sums(ds * att)
+        ds *= att
+        np.matmul(ds, k, out=dq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        _unfold_attention(value, grad, xhat.T @ dqkv, dqkv.sum(axis=0))
+        dx = _normalize_backward(dqkv @ w_in.T, xhat, inv)
+        dx += G
+        x._accum(dx.reshape(B, S, D))
+
+    return T.fused(y.reshape(B, S, D), (x,), backward)
+
+
+def prenorm_ffn(x: Tensor, value: _FFN, grad: _FFN) -> Tensor:
+    """x + FFN(LN(x)) over tokens x (B, S, D), as one tape node; its
+    backward adds the weight gradients to the `grad` views."""
+    B, S, D = x.shape
+    X = x.value.reshape(B * S, D)
+    xhat, inv = _normalize(X)
+    w_in, b_in = _fold_ffn(value)
+    r = xhat @ w_in
+    r += b_in
+    np.maximum(r, 0.0, out=r)
+    y = r @ value.w2
+    y += value.b2
+    y += X
+
+    def backward(g):
+        G = g.reshape(B * S, D)
+        grad.w2[...] += r.T @ G
+        grad.b2[...] += G.sum(axis=0)
+        dr = G @ value.w2.T
+        dr *= r > 0
+        dw, db = xhat.T @ dr, dr.sum(axis=0)
+        grad.b1[...] += db
+        grad.w1[...] += value.gain[:, None] * dw + value.bias[:, None] * db
+        grad.gain[...] += (value.w1 * dw).sum(axis=1)
+        grad.bias[...] += value.w1 @ db
+        dx = _normalize_backward(dr @ w_in.T, xhat, inv)
+        dx += G
+        x._accum(dx.reshape(B, S, D))
+
+    return T.fused(y.reshape(B, S, D), (x,), backward)
+
+
+class TrainingPlan:
+    """A DenoiseModel's transformer as fused tape ops, for training.
+
+    Its blocks are views into the model's parameter buffer, made once: it
+    always computes with the current weights, and backward() adds the
+    gradients to the buffer's gradient vector.
+    """
+
+    def __init__(self, model: "DenoiseModel"):
+        cfg = model.config
+        self.seq_len, self.token_dim = cfg.seq_len, cfg.token_dim
+        self.blocks = [(prenorm_attention if isinstance(value, _Attn) else prenorm_ffn,
+                        value, grad) for value, grad in _block_views(model)]
+        self.head = model.head
+
+    def logits(self, h: Tensor) -> Tensor:
+        """Logits (B, 2) from signatures (B, S * D)."""
+        B = h.shape[0]
+        x = T.reshape(h, (B, self.seq_len, self.token_dim))
+        for op, value, grad in self.blocks:
+            x = op(x, value, grad)
+        flat = T.reshape(x, (B, self.seq_len * self.token_dim))
+        return T.add(T.matmul(flat, self.head.w), self.head.b)
+
+
+class _Block(NamedTuple):
+    w_in: np.ndarray                # (D, P): folded input projection
+    b_in: np.ndarray                # (P,): its folded bias
+    w_out: np.ndarray               # (P_out, D)
+    b_out: Optional[np.ndarray]     # (D,) FFN output bias; None for attention
+    heads: int                      # attention heads; 0 for an FFN block
+
+
 def _attend(qkv: np.ndarray, B: int, S: int, heads: int) -> np.ndarray:
     """Scaled dot-product attention per head over projected tokens
     (B * S, 3 * heads * dh); returns the concatenated heads (B * S, heads * dh)."""
+    # _split_heads and _merge_heads, inlined: online, this runs once per event
     dh = qkv.shape[1] // (3 * heads)
     t = qkv.reshape(B, S, 3 * heads, dh).transpose(0, 2, 1, 3)   # (B, 3h, S, dh)
     q, k, v = t[:, :heads], t[:, heads: 2 * heads], t[:, 2 * heads:]
+    # k stays a strided view: a contiguous copy would speed the product
+    # but add a k-sized array to the chunk's peak memory
     z = _np_softmax(q @ k.transpose(0, 1, 3, 2)) @ v             # (B, h, S, dh)
     return z.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
 
@@ -271,28 +481,27 @@ class InferencePlan:
         self.seq_len, self.token_dim = cfg.seq_len, cfg.token_dim
         self.eventconv = pack_eventconv(model.eventconv)
         self.blocks: List[_Block] = []
-        for lp in model.encoder:
-            self.blocks += [_attention_block([(lp.ln1, lp.mha)]),
-                            _ffn_block(lp.ln2, lp.ffn)]
-        for lp in model.decoder:
-            self.blocks += [_attention_block([(lp.ln1, lp.mha1), (lp.ln2, lp.mha2)]),
-                            _ffn_block(lp.ln3, lp.ffn)]
+        for value, _ in _block_views(model):
+            if isinstance(value, _Attn):
+                P, _, H, D, _ = value.w.shape
+                self.blocks.append(_Block(*_fold_attention(value),
+                                          value.wo.reshape(-1, D).copy(), None, P * H))
+            else:
+                self.blocks.append(_Block(*_fold_ffn(value), value.w2.copy(),
+                                          value.b2.copy(), 0))
         self.head_w = model.head.w.value.copy()
         self.head_b = model.head.b.value.copy()
-        D = cfg.token_dim
-        self._center = np.eye(D) - 1.0 / D
-        self._mean = np.full((D, 1), 1.0 / D)
 
     def logits(self, h: np.ndarray) -> np.ndarray:
         """Logits (B, 2) from signatures (B, S * D)."""
         S, D = self.seq_len, self.token_dim
         B = h.shape[0]
         x = h.reshape(B * S, D)
+        center, mean = _centering(D)
         for blk in self.blocks:
-            # reductions over the short token axis run as GEMMs, which is
-            # much faster than ufunc reduce on a length-D axis
-            xhat = x @ self._center
-            xhat *= ((xhat * xhat) @ self._mean + T.LAYER_NORM_EPS) ** -0.5
+            # _normalize, inlined: online, this loop runs once per event
+            xhat = x @ center
+            xhat *= ((xhat * xhat) @ mean + T.LAYER_NORM_EPS) ** -0.5
             a = xhat @ blk.w_in
             a += blk.b_in
             if blk.heads:
@@ -331,6 +540,8 @@ class DenoiseModel:
         self.encoder = [EncoderLayerParams(cfg, rng, f"enc{i}") for i in range(enc_layers)]
         self.decoder = [DecoderLayerParams(cfg, rng, f"dec{i}") for i in range(dec_layers)]
         self.head = ClassifierHead(cfg, rng)
+        # every weight a view into one flat vector, in parameters() order
+        self.buffer = T.ParameterBuffer(self.parameters())
 
     def parameters(self) -> List[Parameter]:
         out = self.eventconv.parameters()
@@ -342,8 +553,7 @@ class DenoiseModel:
         return out
 
     def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
+        self.buffer.grad.fill(0.0)
 
     # -- forward passes ----------------------------------------------------
 
@@ -477,6 +687,9 @@ def train(dataset: TrainingSet, model: DenoiseModel,
           config: TrainConfig = None) -> List[float]:
     """Minimize cross-entropy with Adam; returns per-epoch mean loss.
 
+    Each step records about a dozen tape nodes: the fused EventConv
+    signature, one fused node per pre-norm block (TrainingPlan), the head
+    and the loss; Adam updates the model's parameter buffer as one vector.
     Deterministic given the config seed (shuffling uses a dedicated PRNG and
     all reductions have fixed order).
     """
@@ -487,8 +700,8 @@ def train(dataset: TrainingSet, model: DenoiseModel,
     labels_all = np.asarray(dataset.labels, dtype=np.int64)
     mask = dataset.mask
     Qpad = quantities_padded(dataset.feats, mask)
-    params = model.parameters()
-    state = AdamState(params, config.beta1, config.beta2, config.eps)
+    plan = TrainingPlan(model)
+    state = AdamState(model.buffer, config.beta1, config.beta2, config.eps)
     rng = np.random.default_rng(config.seed)
     history: List[float] = []
     for _ in range(config.epochs):
@@ -497,14 +710,14 @@ def train(dataset: TrainingSet, model: DenoiseModel,
         for lo in range(0, n, config.batch_size):
             idx = order[lo: lo + config.batch_size]
             h = eventconv_forward_batch(Qpad[idx], mask[idx], model.eventconv)
-            logits = model.logits_from_signature(h, batched=True)
+            logits = plan.logits(h)
             loss = T.cross_entropy(logits, labels_all[idx])
             if not np.isfinite(loss.value):
                 raise ArithmeticError(
                     f"NaN/inf loss at step {state.step} (epoch {len(history)})")
             model.zero_grad()
             loss.backward()
-            T.adam_step(params, state, config.lr)
+            T.adam_step(model.buffer, state, config.lr)
             total += float(loss.value) * len(idx)
         history.append(total / n)
     return history
@@ -594,7 +807,7 @@ def load_model(path) -> DenoiseModel:
         if p is None or tuple(p.value.shape) != tuple(shape):
             raise CheckpointError(f"{path}: unexpected parameter {name} {shape}")
         data = np.frombuffer(_read_exact(f, 8 * p.value.size, path), dtype="<f8")
-        p.value = data.reshape(shape).astype(np.float64).copy()
+        p.value = data.reshape(shape)
     if f.read(1):
         raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     return model

@@ -180,6 +180,37 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and ":3:" in err
 
 
+def test_empty_frame_dir_exits_2(workspace, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(tmp_path),
+                 "label", str(workspace["events"]), str(frames)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(frames) in err and "no .pgm" in err
+
+
+def test_truncated_frame_exits_2(workspace, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    src = sorted((workspace["events"].parent / "frames").iterdir())[0]
+    (frames / src.name).write_bytes(src.read_bytes()[:-10])
+    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(tmp_path),
+                 "label", str(workspace["events"]), str(frames)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and src.name in err and "truncated" in err
+
+
+def test_short_decisions_file_exits_2(workspace, tmp_path, capsys):
+    decisions = tmp_path / "decisions.txt"
+    n = len(read_events(workspace["events"], geometry=SensorGeometry(32, 24)))
+    np.savetxt(decisions, np.ones(n - 1, dtype=np.int64), fmt="%d")
+    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(tmp_path),
+                 "eval", str(workspace["events"]), str(decisions)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(decisions) in err
+    assert f"{n - 1} decisions for a stream of {n} events" in err
+
+
 @pytest.mark.parametrize("damage", ["truncated", "trailing"])
 def test_damaged_checkpoint_exits_2(workspace, tmp_path, capsys, damage):
     blob = (workspace["train"] / "model.ckpt").read_bytes()

@@ -164,6 +164,26 @@ class TestSignature:
         assert err < 1e-5
 
 
+    @pytest.mark.parametrize("variant", ["3q", "7q"])
+    def test_fused_signature_gradient(self, variant):
+        # the fused op's analytic backward, to the weights and to a padded
+        # quantity tensor, against central differences
+        rng = np.random.default_rng(10)
+        params = EventConvParams(QuantitySet.from_variant(variant), wdt=3, rng=rng)
+        graphs = [random_graph(rng, int(rng.integers(0, 6))) for _ in range(4)]
+        Qpad, mask = pad_quantity_batch(graphs)
+        Q = T.Parameter(Qpad, "Q")
+        w = Tensor(rng.standard_normal((4, params.quantities.count * 3)))
+
+        def forward():
+            return T.tsum(T.mul(eventconv_forward_batch(Q, mask, params), w))
+
+        assert finite_diff_check(forward, [Q] + params.parameters()) < 1e-5
+        # padded slots get no gradient
+        finite_diff_check(forward, [Q])
+        forward().backward()
+        np.testing.assert_array_equal(Q.grad * (1.0 - mask), 0.0)
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(0, 10))
 def test_permutation_invariance_property(seed, n_neighbors):

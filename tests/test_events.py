@@ -111,6 +111,18 @@ def test_bin_rejects_truncated_record(tmp_path):
         read_events(path, format="bin")
 
 
+@pytest.mark.parametrize("x", [-1, 65536])
+def test_bin_writer_rejects_unrepresentable_event(tmp_path, x):
+    # CSV holds any coordinate; the binary record does not
+    csv = tmp_path / "wide.csv"
+    write_events(make_stream([(0, 1, 2, 1), (5, x, 2, -1)]), csv)
+    stream = read_events(csv)
+    path = tmp_path / "wide.bin"
+    with pytest.raises(EventFormatError, match="event 1 "):
+        write_events(stream, path, format="bin")
+    assert not path.exists()
+
+
 def test_read_rejects_time_regression(tmp_path):
     path = tmp_path / "reg.csv"
     path.write_text("t_us,x,y,p,label\n10,0,0,1,\n5,0,0,1,\n")

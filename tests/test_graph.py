@@ -237,6 +237,18 @@ class TestPaddedFeatures:
             np.testing.assert_array_equal(m1[0], maskB[i])
 
 
+
+def test_oracle_skips_off_sensor_events():
+    spec = VolumeSpec()
+    arrays = EventStream([Event(0, 5, -1, 1), Event(10, 5, 1, 1), Event(20, 32, 1, 1),
+                          Event(30, 31, 1, 1)], GEOM).arrays()
+    assert brute_force_neighbors(arrays, 1, spec) == []
+    assert brute_force_neighbors(arrays, 1, spec, GEOM) == []
+    # past the far edge only a geometry tells
+    assert brute_force_neighbors(arrays, 3, spec) == [GraphNode(32, 1, 20)]
+    assert brute_force_neighbors(arrays, 3, spec, GEOM) == []
+    assert brute_force_neighbors(arrays, 2, spec, GEOM) == []
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 120),
        st.integers(0, 3), st.integers(1, 8), st.data())
@@ -244,12 +256,17 @@ def test_batch_equals_oracle_property(seed, n, L, n_max, data):
     rng = np.random.default_rng(seed)
     geom = SensorGeometry(12, 10)
     stream = random_stream(rng, n, geom=geom, t_max=5_000)
+    # about one event in eight just off an edge of the sensor
+    for i in np.flatnonzero(rng.random(n) < 0.125):
+        e = stream.events[i]
+        x, y = [(-1, e.y), (geom.width, e.y), (e.x, -1), (e.x, geom.height)][i % 4]
+        stream.events[i] = Event(e.t, x, y, e.p)
     spec = VolumeSpec(L=L, T_us=int(rng.integers(1, 3_000)), N_max=n_max)
     arrays = stream.arrays()
     t, x, y = arrays[0], arrays[1], arrays[2]
     nbr = batch_neighbor_indices(t, x, y, spec, geom)
     for i in range(n):
-        oracle = brute_force_neighbors(arrays, i, spec)
+        oracle = brute_force_neighbors(arrays, i, spec, geom)
         got = [GraphNode(int(x[j]), int(y[j]), int(t[j]))
                for j in nbr[i] if j >= 0]
         assert got == oracle
@@ -259,7 +276,7 @@ def test_batch_equals_oracle_property(seed, n, L, n_max, data):
     sub = batch_neighbor_indices(t, x, y, spec, geom, rows=rows)
     for i, row in zip(rows, sub):
         got = [GraphNode(int(x[j]), int(y[j]), int(t[j])) for j in row if j >= 0]
-        assert got == brute_force_neighbors(arrays, int(i), spec)
+        assert got == brute_force_neighbors(arrays, int(i), spec, geom)
     feats, mask = features_from_batch_indices(t, x, y, sub, spec, rows=rows)
     full_feats, full_mask = features_from_batch_indices(t, x, y, nbr, spec)
     np.testing.assert_array_equal(feats, full_feats[rows])

@@ -6,9 +6,10 @@ import pytest
 
 from evdenoise.events import Event, EventStream, LABEL_NOISE, LABEL_REAL, \
     SensorGeometry
-from evdenoise.kogtl import (ApsFrame, EdgeMap, LabelingConfig, canny_edges,
-                             icp_align, kogtl_pipeline, label_events,
-                             read_frame_dir, read_pgm, synchronize, write_pgm)
+from evdenoise.kogtl import (ApsFrame, EdgeMap, FrameFormatError,
+                             LabelingConfig, canny_edges, icp_align,
+                             kogtl_pipeline, label_events, read_frame_dir,
+                             read_pgm, synchronize, write_pgm)
 
 
 def step_frame(width=64, height=48, edge_x=20, dark=50, bright=200, t_us=0):
@@ -181,6 +182,16 @@ class TestPgm:
         path.write_bytes(b"hello")
         with pytest.raises(ValueError, match="P5"):
             read_pgm(path)
+
+    def test_rejects_truncated_image_and_empty_dir(self, tmp_path):
+        path = tmp_path / "frame_000001.pgm"
+        write_pgm(step_frame(), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FrameFormatError, match="truncated"):
+            read_pgm(path)
+        path.unlink()
+        with pytest.raises(FrameFormatError, match="no .pgm frames"):
+            read_frame_dir(tmp_path)
 
     def test_read_frame_dir_sorted(self, tmp_path):
         for t in (40_000, 0, 20_000):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evdenoise.nn.tensor as T
-from evdenoise.nn.tensor import (AdamState, Parameter, Tensor, adam_step,
-                                 cross_entropy, finite_diff_check,
-                                 init_uniform, layer_norm)
+from evdenoise.nn.tensor import (AdamState, Parameter, ParameterBuffer,
+                                 Tensor, adam_step, cross_entropy,
+                                 finite_diff_check, init_uniform, layer_norm,
+                                 packed)
 
 TOL = 1e-6  # per-op central differences on smooth ops are much tighter
 
@@ -243,6 +244,62 @@ class TestAdam:
             adam_step([p], state, lr=0.05)
         assert np.all(np.abs(p.value) < 1e-3)
 
+
+    def test_flat_buffer_bitwise_equals_per_parameter_formula(self):
+        # the elementwise update is the same arithmetic on one flat vector
+        rng = np.random.default_rng(17)
+        shapes = [(3, 4), (4,), (1, 5), (2, 2, 3)]
+        params = [Parameter(rng.standard_normal(s), f"p{i}")
+                  for i, s in enumerate(shapes)]
+        buf = ParameterBuffer(params)
+        ref = [p.value.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = AdamState(buf, beta1=0.8, beta2=0.99, eps=1e-7)
+        lr, b1, b2, eps = 0.01, 0.8, 0.99, 1e-7
+        for step in range(1, 11):
+            grads = [rng.standard_normal(s) for s in shapes]
+            for i, g in enumerate(grads):
+                params[i].grad = g
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                ref[i] -= lr * (m[i] / (1 - b1 ** step)) \
+                    / (np.sqrt(v[i] / (1 - b2 ** step)) + eps)
+            adam_step(buf, state, lr=lr)
+            for p, r in zip(params, ref):
+                np.testing.assert_array_equal(p.value, r)
+            assert not buf.grad.any()
+
+
+class TestParameterBuffer:
+    def test_values_and_grads_are_views(self):
+        rng = np.random.default_rng(18)
+        a, b = Parameter(rng.standard_normal((2, 3)), "a"), Parameter([1.0, 2.0], "b")
+        before = np.concatenate([a.value.ravel(), b.value])
+        buf = ParameterBuffer([a, b])
+        np.testing.assert_array_equal(buf.value, before)
+        b.value = [5.0, 6.0]                 # reassignment writes in place
+        a.value[0, 0] = 9.0                  # and so does an in-place edit
+        np.testing.assert_array_equal(buf.value[[0, 6, 7]], [9.0, 5.0, 6.0])
+        T.tsum(T.mul(a, a)).backward()
+        np.testing.assert_array_equal(buf.grad[:6], 2 * buf.value[:6])
+        a.grad = None
+        assert not buf.grad.any()
+        with pytest.raises(ValueError, match="shape"):
+            b.value = [1.0]
+
+    def test_packed_views_need_back_to_back_parameters(self):
+        a, b, c = (Parameter(np.full(2, float(i)), n) for i, n in enumerate("abc"))
+        ParameterBuffer([a, b, c])
+        value, grad = packed([b, c], (2, 2))
+        value[1, 0] = 7.0
+        assert c.value[0] == 7.0
+        grad += 1.0
+        np.testing.assert_array_equal(b.grad, 1.0)
+        with pytest.raises(ValueError, match="back to back|follow"):
+            packed([a, c], (2, 2))
+        with pytest.raises(ValueError, match="view"):
+            T.view(np.zeros((2, 3))[:, :2].T, (4,))
 
 def test_init_uniform_bounds():
     rng = np.random.default_rng(16)

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 import evdenoise.nn.tensor as T
+import evdenoise.transformer as tf
 from evdenoise.events import Event, EventStream, SensorGeometry
-from evdenoise.eventconv import QuantitySet, compute_quantities
+from evdenoise.eventconv import (QuantitySet, compute_quantities,
+                                 eventconv_forward, eventconv_forward_batch,
+                                 quantities_padded)
 from evdenoise.graph import NormalizedGraph, VolumeSpec
 from evdenoise.nn.tensor import Parameter, Tensor, finite_diff_check
 from evdenoise.synth import TrainingSet
 from evdenoise.transformer import (CheckpointError, DenoiseModel, MHAParams,
-                                   ModelConfig, TrainConfig, attention,
-                                   decoder_forward, encoder_forward,
-                                   load_model, multi_head, predict_stream,
-                                   save_model, train)
+                                   ModelConfig, TrainConfig, TrainingPlan,
+                                   attention, decoder_forward,
+                                   encoder_forward, load_model, multi_head,
+                                   predict_stream, prenorm_attention,
+                                   prenorm_ffn, save_model, train)
 
 GEOM = SensorGeometry(32, 24)
 
@@ -263,6 +267,104 @@ class TestPlanStaleness:
         model.head.b.value[:] = [2.0, -2.0]
         self.assert_fast_matches_tape(model, graphs)
 
+
+class TestFusedOps:
+    """The fused tape ops training runs on, against central differences
+    and against the unfused tape ops (the oracle)."""
+
+    @staticmethod
+    def block_check(op, value, grad, params, rng):
+        x = Parameter(rng.standard_normal((3, 2, value.gain.shape[-1])), "x")
+        w = Tensor(rng.standard_normal(x.shape))
+
+        def forward():
+            return T.tsum(T.mul(op(x, value, grad), w))
+
+        return finite_diff_check(forward, [x] + params)
+
+    def test_attention_blocks_match_central_differences(self):
+        rng = np.random.default_rng(20)
+        model = DenoiseModel(heads=2, enc_layers=1, dec_layers=1, seed=11)
+        perturb(model, rng)
+        plan = TrainingPlan(model)
+        enc, dec = model.encoder[0], model.decoder[0]
+        enc_params = [*enc.ln1.parameters(), *enc.mha.parameters()]
+        dec_params = [*dec.ln1.parameters(), *dec.mha1.parameters(),
+                      *dec.ln2.parameters(), *dec.mha2.parameters()]
+        for (op, value, grad), params in ((plan.blocks[0], enc_params),
+                                          (plan.blocks[2], dec_params)):
+            assert op is prenorm_attention
+            assert self.block_check(op, value, grad, params, rng) < 1e-5
+
+    def test_ffn_block_matches_central_differences(self):
+        rng = np.random.default_rng(21)
+        model = DenoiseModel(enc_layers=1, dec_layers=1, seed=12)
+        perturb(model, rng)
+        op, value, grad = TrainingPlan(model).blocks[1]
+        assert op is prenorm_ffn
+        lp = model.encoder[0]
+        params = [*lp.ln2.parameters(), *lp.ffn.parameters()]
+        assert self.block_check(op, value, grad, params, rng) < 1e-5
+
+    @staticmethod
+    def gradients(model, loss):
+        model.zero_grad()
+        loss.backward()
+        return {p.name: p.grad.copy() for p in model.parameters()}
+
+    @pytest.mark.parametrize("kwargs", [{}, *FAST_PATH_CONFIGS.values()],
+                             ids=["default", *FAST_PATH_CONFIGS.keys()])
+    def test_training_loss_and_gradients_match_unfused_tape(self, kwargs):
+        rng = np.random.default_rng(22)
+        model = DenoiseModel(seed=13, **kwargs)
+        plan = TrainingPlan(model)
+        perturb(model, rng)          # after the plan: it sees weight changes
+        graphs = [random_graph(rng, int(rng.integers(0, 10))) for _ in range(24)]
+        feats, mask = padded(graphs)
+        Q = quantities_padded(feats, mask)
+        labels = rng.integers(0, 2, size=len(graphs))
+
+        fused = T.cross_entropy(
+            plan.logits(eventconv_forward_batch(Q, mask, model.eventconv)), labels)
+        got = self.gradients(model, fused)
+        # the oracle: the per-quantity EventConv chain, graph by graph, and
+        # the unfused transformer ops
+        rows = [T.reshape(eventconv_forward(compute_quantities(g), model.eventconv),
+                          (1, -1)) for g in graphs]
+        unfused = T.cross_entropy(model.logits_from_signature(
+            T.concat(rows, axis=0), batched=True), labels)
+        want = self.gradients(model, unfused)
+
+        assert abs(float(fused.value) - float(unfused.value)) <= 1e-10
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+    def test_training_stays_on_the_traced_call_path(self, monkeypatch):
+        # the benchmark's per-layer metrics time training through these
+        # module attributes; one epoch must call each of them
+        calls = {}
+
+        def count(owner, attr):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] = calls.get(attr, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for owner, attr in ((tf, "train"), (T.Tensor, "backward"), (T, "adam_step"),
+                            (T, "cross_entropy"), (tf, "quantities_padded"),
+                            (tf, "eventconv_forward_batch")):
+            count(owner, attr)
+        data = TestTraining.toy_dataset(np.random.default_rng(23), n=24)[0]
+        tf.train(data, DenoiseModel(seed=0),
+                 TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert calls == {"train": 1, "backward": 3, "adam_step": 3,
+                         "cross_entropy": 3, "quantities_padded": 1,
+                         "eventconv_forward_batch": 3}
 
 class TestTraining:
     @staticmethod
