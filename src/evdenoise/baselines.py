@@ -1,5 +1,8 @@
-"""Conventional spatiotemporal denoising filters, each an online state
-machine consuming one event at a time.
+"""Conventional spatiotemporal denoising filters with two entry points.
+
+`step(event)` decides one arriving event and updates the filter's state: it
+is the online path and the oracle.  `run_batch(stream)` decides a whole
+stream in one vectorized pass, exactly as a fold of `step` would.
 
 All window comparisons use the strict past [t - T, t) except the Yang
 density count, which includes the arriving event itself.  An event outside
@@ -61,8 +64,101 @@ class BaseFilter:
         raise NotImplementedError
 
     def run_batch(self, stream: EventStream) -> np.ndarray:
-        """Whole-stream decisions in one call (same fold, single entry point)."""
-        return np.array([self.step(e) for e in stream], dtype=np.int64)
+        """Decisions for a whole stream in one vectorized pass.
+
+        Returns exactly the decisions of the fold `[step(e) for e in
+        stream]` from the filter's current state, and leaves the state from
+        which `step` decides as it would after that fold.
+        """
+        t, x, y, p, _ = stream.arrays()
+        g = self.geometry
+        live = (x >= 0) & (x < g.width) & (y >= 0) & (y < g.height)
+        out = np.full(len(t), DECISION_SKIPPED, dtype=np.int64)
+        out[live] = self._decide_batch(t[live], x[live], y[live], p[live])
+        return out
+
+    def _decide_batch(self, t, x, y, p) -> np.ndarray:
+        """0/1 decisions of the on-sensor events given as arrays, in arrival
+        order, updating the state as _decide does event by event."""
+        raise NotImplementedError
+
+
+class _WriteLog:
+    """Every write a per-cell memory takes over a stream, in arrival order:
+    one for each cell the memory already holds, then one per event.
+
+    A stable sort by cell id keeps each cell's writes in arrival order (the
+    layout of graph.batch_neighbor_indices), so one searchsorted answers
+    "which write to cell c came last before event i" for every event at once.
+    No time sort is needed: a memory cell holds its last write by arrival.
+    Per-event arrays are in the log's event order (grouped by cell, each
+    cell's in arrival order): there, every window offset's queries are sorted,
+    which keeps searchsorted cache-friendly.
+    """
+
+    def __init__(self, held: np.ndarray, cells: np.ndarray):
+        ids = np.concatenate([held, cells])
+        self.n = np.int64(max(len(ids), 1))
+        self.order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[self.order]
+        self.key = sorted_ids * self.n + self.order
+        at = np.flatnonzero(self.order >= len(held))   # the events' places
+        self.write = self.order[at]                    # their write indices
+        self.event = self.write - len(held)            # their stream indices
+        self.cell_key = sorted_ids[at] * self.n        # their cells, as keys
+        ends = np.flatnonzero(np.diff(sorted_ids, append=-1))
+        self.final_cells, self.final = sorted_ids[ends], self.order[ends]
+
+    def last_before(self, delta: int, valid: np.ndarray) -> np.ndarray:
+        """Per event, the index of the last write before it to the cell
+        `delta` ids past its own; -1 where there is none or valid is false."""
+        q = self.cell_key + delta * self.n
+        pos = np.searchsorted(self.key, q + self.write) - 1
+        hit = valid & (pos >= 0) & (self.key[pos] >= q)
+        return np.where(hit, self.order[pos], -1)
+
+
+def _window(cx, cy, shape, rx: int, ry: int):
+    """(dx, dy, cell id shift, in-grid mask) of every offset of the window
+    [cx - rx, cx + rx] x [cy - ry, cy + ry] on a (w, h) grid of x * h + y
+    cell ids, one offset at a time."""
+    w, h = shape
+    for dx in range(-rx, rx + 1):
+        in_x = (cx + dx >= 0) & (cx + dx < w)
+        for dy in range(-ry, ry + 1):
+            yield dx, dy, dx * h + dy, in_x & (cy + dy >= 0) & (cy + dy < h)
+
+
+def _map_hits(stamps: np.ndarray, cx, cy, t, T_us: int, radius: Tuple[int, int],
+              pols: np.ndarray = None, p=None, match: bool = False) -> np.ndarray:
+    """Per event, the number of cells of its window in the timestamp memory
+    `stamps` (a (w, h) grid, -inf = empty) whose value just before the event
+    lies in [t - T_us, t), and with `match` also equals the event's polarity
+    in the polarity memory `pols`.  Afterwards both memories hold every
+    event's write, as after the step fold.
+    """
+    held = np.flatnonzero(stamps > -np.inf)
+    log = _WriteLog(held, cx * stamps.shape[1] + cy)
+    # index -1 (no earlier write) reads the trailing empty cell
+    written = np.concatenate([stamps.ravel()[held], t, [-np.inf]])
+    if pols is not None:
+        written_p = np.concatenate([pols.ravel()[held], p, [0]])
+    e = log.event
+    # float64 like the memory itself, so bounds compare as in step
+    lo, hi = (t[e] - T_us).astype(np.float64), written[log.write]
+    hits = np.zeros(len(t), dtype=np.int64)
+    for _, _, delta, valid in _window(cx[e], cy[e], stamps.shape, *radius):
+        j = log.last_before(delta, valid)
+        ok = (written[j] >= lo) & (written[j] < hi)
+        if match:
+            ok &= written_p[j] == p[e]
+        hits += ok
+    np.put(stamps, log.final_cells, written[log.final])
+    if pols is not None:
+        np.put(pols, log.final_cells, written_p[log.final])
+    out = np.empty_like(hits)
+    out[e] = hits
+    return out
 
 
 class DelbruckBAFilter(BaseFilter):
@@ -85,6 +181,10 @@ class DelbruckBAFilter(BaseFilter):
         self.map.update(e.x, e.y, e.t)
         return decision
 
+    def _decide_batch(self, t, x, y, p):
+        hits = _map_hits(self.map.cells, x, y, t, self.T_us, (self.L, self.L))
+        return (hits >= self.k).astype(np.int64)
+
 
 class NNbFilter(BaseFilter):
     """Nearest-neighbor filter: real iff any prior event in 3x3 x 1 ms."""
@@ -103,6 +203,10 @@ class NNbFilter(BaseFilter):
         decision = DECISION_REAL if hits >= 1 else DECISION_NOISE
         self.map.update(e.x, e.y, e.t)
         return decision
+
+    def _decide_batch(self, t, x, y, p):
+        hits = _map_hits(self.map.cells, x, y, t, self.T_us, (self.L, self.L))
+        return (hits >= 1).astype(np.int64)
 
 
 class LiuFilter(BaseFilter):
@@ -135,6 +239,10 @@ class LiuFilter(BaseFilter):
         hit = bool(np.any((block >= e.t - self.T_us) & (block < e.t)))
         self.cells[gx, gy] = e.t
         return DECISION_REAL if hit else DECISION_NOISE
+
+    def _decide_batch(self, t, x, y, p):
+        hits = _map_hits(self.cells, x >> self.S, y >> self.S, t, self.T_us, (1, 1))
+        return (hits >= 1).astype(np.int64)
 
 
 class KhodamoradiFilter(BaseFilter):
@@ -173,6 +281,14 @@ class KhodamoradiFilter(BaseFilter):
         self.col_t[e.x], self.col_p[e.x] = e.t, e.p
         self.row_t[e.y], self.row_p[e.y] = e.t, e.p
         return decision
+
+    def _decide_batch(self, t, x, y, p):
+        # the 1-D case: columns and rows as (n, 1) grids, window +-1 along n
+        fresh = [_map_hits(cells_t[:, None], c, np.zeros_like(c), t, self.T_us,
+                           (1, 0), cells_p[:, None], p, self.match_polarity) >= 1
+                 for cells_t, cells_p, c in ((self.col_t, self.col_p, x),
+                                             (self.row_t, self.row_p, y))]
+        return (fresh[0] & fresh[1]).astype(np.int64)
 
 
 class YangFilter(BaseFilter):
@@ -240,6 +356,86 @@ class YangFilter(BaseFilter):
                     else DECISION_NOISE)
         buf.append(e.t)
         return decision
+
+    def _decide_batch(self, t, x, y, p):
+        W, H = self.geometry.width, self.geometry.height
+        # the history's timestamps as writes before the stream, in time order
+        held = np.array([(px * H + py, ts) for (px, py), buf in self.history.items()
+                         for ts in buf], dtype=np.int64).reshape(-1, 2)
+        same_deque = held[1:, 0] == held[:-1, 0]
+        deques_sorted = np.all(np.diff(held[:, 1])[same_deque] >= 0)
+        held = held[np.argsort(held[:, 1], kind="stable")]
+        times = np.concatenate([held[:, 1], t])
+        if not (deques_sorted and np.all(np.diff(times) >= 0)):
+            # the counts below take time windows as arrival ranges, which
+            # needs non-decreasing timestamps; fold otherwise
+            return np.array([self._decide(Event(*e)) for e in
+                             zip(t.tolist(), x.tolist(), y.tolist(), p.tolist())],
+                            dtype=np.int64)
+
+        m, L, hot_us = len(held), self.L, self.hot_window_us
+        log = _WriteLog(held[:, 0], x * H + y)
+        key, n, e = log.key, log.n, log.event
+
+        def first_at(ts):
+            """Index of the first write at or after each event's time in
+            `ts` (given in arrival order, returned in log order)."""
+            return np.searchsorted(times, ts)[e]
+
+        def count(base, a_from, a_to):
+            """Writes to the cells whose keys are `base` with write index
+            in [a_from, a_to)."""
+            return (np.searchsorted(key, base + a_to)
+                    - np.searchsorted(key, base + a_from))
+
+        # a neighbor's deque holds its writes in [t - T, t); with T longer
+        # than the hot window, only those no older than hot_window before
+        # its own last write, which pruned the rest
+        a_t, a_support = first_at(t), first_at(t - self.T_us)
+        a_hot = first_at(t - hot_us)
+        xe, ye = x[e], y[e]
+        support = np.zeros(len(t), dtype=np.int64)
+        for dx, dy, delta, valid in _window(xe, ye, (W, H), L, L):
+            if dx == dy == 0:
+                continue
+            a_from = a_support
+            if self.T_us > hot_us:
+                j = log.last_before(delta, valid)
+                pruned = np.searchsorted(times, times[j] - hot_us)
+                a_from = np.where(j >= m, np.maximum(a_support, pruned),
+                                  a_support)
+            support += np.where(valid, count(log.cell_key + delta * n, a_from, a_t), 0)
+
+        # own rate: the pixel's earlier writes no older than the hot window
+        own_rate = count(log.cell_key, a_hot, log.write) + 1
+        cand = np.flatnonzero(own_rate >= self.hot_count)
+        nbhd = np.zeros(len(cand), dtype=np.int64)
+        for dx, dy, delta, valid in _window(xe[cand], ye[cand], (W, H), L, L):
+            if dx != 0 or dy != 0:
+                nbhd += np.where(valid, count(log.cell_key[cand] + delta * n,
+                                              a_hot[cand], a_t[cand]), 0)
+        trig = cand[nbhd < self.hot_support]
+        # a pixel is hot from its first trigger on, that event included
+        cells = xe * H + ye
+        first_hot = np.full(W * H, len(times), dtype=np.int64)
+        np.minimum.at(first_hot, cells[trig], log.write[trig])
+        first_hot[[px * H + py for px, py in self.hot]] = -1
+        decisions = np.empty(len(t), dtype=np.int64)
+        decisions[e] = (support + 1 >= self.density) & (log.write < first_hot[cells])
+
+        self.hot.update(divmod(c, H) for c in np.unique(cells[trig]).tolist())
+        # each pixel that fired keeps its writes no older than hot_window
+        # before its last one
+        fired = log.final >= m
+        c, last = log.final_cells[fired], log.final[fired]
+        kept = np.searchsorted(times, times[last] - hot_us)
+        start = np.searchsorted(key, c * n + kept)
+        stop = np.searchsorted(key, (c + 1) * n)
+        by_cell = times[log.order].tolist()
+        for px, py, a, b in zip((c // H).tolist(), (c % H).tolist(),
+                                start.tolist(), stop.tolist()):
+            self.history[px, py] = deque(by_cell[a:b])
+        return decisions
 
 
 def make_filter(name: str, geometry: SensorGeometry, **kwargs) -> BaseFilter:

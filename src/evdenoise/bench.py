@@ -114,7 +114,6 @@ class TimingReport:
     mode: str
     mean_s: float
     std_s: float
-    median_mean_s: float      # median over repetitions of the per-event mean
     total_events: int
     total_wall_s: float
 
@@ -172,8 +171,7 @@ def time_filter(filt, stream: EventStream, mode: str,
     else:
         mean = float(np.mean(means))
         std = float(np.std(means))
-    return TimingReport(mode, mean, std, float(np.median(means)),
-                        len(stream), total_wall)
+    return TimingReport(mode, mean, std, len(stream), total_wall)
 
 
 EDNCNN_INPUT_ELEMENTS = 25 * 25 * 2 * 2

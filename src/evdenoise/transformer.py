@@ -557,31 +557,28 @@ class DenoiseModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def logits_from_signature(self, h: Tensor, batched: bool) -> Tensor:
+    def logits_from_signature(self, h: Tensor) -> Tensor:
+        """Logits (B, 2) from a batch of signatures (B, q * wdt)."""
         cfg = self.config
-        if batched:
-            B = h.shape[0]
-            tokens = T.reshape(h, (B, cfg.seq_len, cfg.token_dim))
-        else:
-            tokens = T.reshape(h, (cfg.seq_len, cfg.token_dim))
+        B = h.shape[0]
+        tokens = T.reshape(h, (B, cfg.seq_len, cfg.token_dim))
         enc = encoder_forward(tokens, self.encoder)
         dec = decoder_forward(enc, self.decoder)
-        flat = T.reshape(dec, (B, cfg.seq_len * cfg.token_dim) if batched
-                         else (cfg.seq_len * cfg.token_dim,))
+        flat = T.reshape(dec, (B, cfg.seq_len * cfg.token_dim))
         return T.add(T.matmul(flat, self.head.w), self.head.b)
 
     def forward_batch(self, graphs: Sequence[NormalizedGraph]) -> Tensor:
         """Logits (B, 2) for a batch of graphs."""
         Qpad, mask = pad_quantity_batch(graphs)
         h = eventconv_forward_batch(Qpad, mask, self.eventconv)
-        return self.logits_from_signature(h, batched=True)
+        return self.logits_from_signature(h)
 
     def forward_tape_features(self, feats: Tensor) -> Tensor:
         """Single-graph logits differentiable down to the node features."""
         Q = quantities_tape(feats)
         h = eventconv_forward_batch(T.reshape(Q, (1, *Q.shape)),
                                     np.ones((1, Q.shape[0], 1)), self.eventconv)
-        return T.reshape(self.logits_from_signature(h, batched=True), (2,))
+        return T.reshape(self.logits_from_signature(h), (2,))
 
     def classify_graphs(self, graphs: Sequence[NormalizedGraph]) -> np.ndarray:
         """Probabilities (B, 2) for a batch of graphs."""

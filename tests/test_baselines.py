@@ -8,6 +8,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evdenoise.baselines import (DelbruckBAFilter, KhodamoradiFilter,
                                  LiuFilter, NNbFilter, YangFilter,
@@ -192,6 +194,25 @@ class TestYang:
         out = decisions(YangFilter(GEOM), rows)
         assert out[-1] == 0
 
+    def test_hot_flag_carries_from_step_into_run_batch(self):
+        # hot after a step fold; a late event with full support and a busy
+        # neighborhood (so no new trigger) stays noise in run_batch
+        filt = YangFilter(GEOM)
+        for t in range(30):
+            filt.step(Event(t * 4000, 20, 20, 1))
+        rows = [(130_000, 19, 20, 1), (130_100, 21, 20, 1), (130_200, 20, 21, 1),
+                (130_500, 20, 20, 1)]
+        assert decisions(filt, rows)[-1] == 0
+        assert decisions(YangFilter(GEOM), rows)[-1] == 1
+
+    def test_pruned_history_not_counted_past_hot_window(self):
+        # with T_us longer than the hot window, a neighbor's own later event
+        # prunes its earlier one, which then no longer supports
+        rows = [(0, 10, 11, 1), (1000, 10, 11, 1), (1500, 10, 10, 1)]
+        filt = YangFilter(GEOM, L=1, T_us=3000, density=3, hot_window_us=500,
+                          hot_count=100)
+        assert decisions(filt, rows) == [0, 0, 0]
+
     def test_active_neighborhood_prevents_hot_flag(self):
         # same firing rate, but a busy neighborhood: pixel is never flagged
         rows = []
@@ -260,3 +281,78 @@ class TestRegistryAndHarness:
         first = decisions(filt, rows)
         filt.reset()
         assert decisions(filt, rows) == first
+
+
+# -- run_batch against the step fold ------------------------------------------------
+
+SMALL = SensorGeometry(5, 4)
+WINDOW_US = st.integers(1, 4000)
+PARAMS = {
+    "ba": st.fixed_dictionaries({"L": st.integers(0, 2), "T_us": WINDOW_US,
+                                 "k": st.integers(0, 9)}),
+    "nnb": st.fixed_dictionaries({"L": st.integers(0, 2), "T_us": WINDOW_US}),
+    "liu1": st.fixed_dictionaries({"T_us": WINDOW_US}),
+    "liu2": st.fixed_dictionaries({"T_us": WINDOW_US}),
+    "khodamoradi": st.fixed_dictionaries({"T_us": WINDOW_US,
+                                          "match_polarity": st.booleans()}),
+    # the hot window is drawn both shorter and longer than T_us
+    "yang": st.one_of(st.just({}), st.fixed_dictionaries({
+        "L": st.integers(0, 2), "T_us": WINDOW_US, "density": st.integers(1, 5),
+        "hot_window_us": WINDOW_US, "hot_count": st.integers(1, 6),
+        "hot_support": st.integers(0, 4)})),
+}
+
+
+@st.composite
+def event_rows(draw, monotone: bool):
+    """Single events, same-pixel bursts and hot-pixel trains, with equal
+    timestamps common and off-sensor events on every edge; without
+    `monotone`, a step may go back in time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    W, H = SMALL.width, SMALL.height
+    rows, t = [], int(rng.integers(0, 5000))
+    for _ in range(draw(st.integers(1, 15))):
+        x, y = int(rng.integers(0, W)), int(rng.integers(0, H))
+        if rng.random() < 0.15:
+            x, y = [(-1, y), (W, y), (x, -1), (x, H)][rng.integers(0, 4)]
+        kind = rng.choice(["event", "event", "burst", "train"])
+        count = {"event": 1, "burst": int(rng.integers(2, 7)),
+                 "train": int(rng.integers(5, 26))}[kind]
+        period = int(rng.choice([100, 400, 4000]))
+        for k in range(count):
+            if kind == "train" and k:
+                t += period
+            elif monotone:
+                t += int(rng.choice([0, 0, 1, 50, 300, 900, 2500]))
+            else:
+                t += int(rng.integers(-1500, 1501))
+            rows.append((t, x, y, int(rng.choice([-1, 1]))))
+    return rows
+
+
+def filter_state(filt):
+    if isinstance(filt, YangFilter):
+        return filt.hot, {pixel: list(buf) for pixel, buf in filt.history.items()}
+    return pickle.dumps(filt)
+
+
+@pytest.mark.parametrize("name", ALGOS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_batch_equals_step_fold_property(name, data):
+    # step on a prefix, run_batch on two middle pieces, step on the rest:
+    # the same decisions and the same final state as one step fold
+    kwargs = data.draw(PARAMS[name])
+    rows = data.draw(event_rows(monotone=data.draw(st.booleans())))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), min_size=3,
+                                     max_size=3)))
+    events = [Event(*r) for r in rows]
+    ref = make_filter(name, SMALL, **kwargs)
+    want = [ref.step(e) for e in events]
+    filt = make_filter(name, SMALL, **kwargs)
+    got = [filt.step(e) for e in events[:cuts[0]]]
+    for a, b in zip(cuts, cuts[1:]):
+        got += filt.run_batch(EventStream(events[a:b], SMALL)).tolist()
+    got += [filt.step(e) for e in events[cuts[2]:]]
+    assert got == want
+    assert filter_state(filt) == filter_state(ref)

@@ -82,15 +82,18 @@ def test_filter_outputs(workspace):
     assert (workspace["filter"] / "filtered.csv").exists()
 
 
-def test_filter_seq_matches_batch(workspace):
-    out = workspace["root"] / "filter_seq"
-    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(out),
-                 "filter", str(workspace["events"]), "--algo", "gnnt",
-                 "--mode", "seq",
-                 "--model", str(workspace["train"] / "model.ckpt")]) == 0
-    d_seq = np.loadtxt(out / "decisions.txt", dtype=np.int64)
-    d_batch = np.loadtxt(workspace["filter"] / "decisions.txt", dtype=np.int64)
-    np.testing.assert_array_equal(d_seq, d_batch)
+@pytest.mark.parametrize("algo", ["gnnt", "ba", "nnb", "liu1", "liu2",
+                                  "khodamoradi", "yang"])
+def test_filter_seq_matches_batch(workspace, algo):
+    decisions = {}
+    for mode in ("seq", "batch"):
+        out = workspace["root"] / f"filter_{algo}_{mode}"
+        assert main(["--config", str(workspace["cfg"]), "--out-dir", str(out),
+                     "filter", str(workspace["events"]), "--algo", algo,
+                     "--mode", mode,
+                     "--model", str(workspace["train"] / "model.ckpt")]) == 0
+        decisions[mode] = (out / "decisions.txt").read_bytes()
+    assert decisions["seq"] == decisions["batch"]
 
 
 def test_model_filter_step_fold_matches_run_batch(workspace):

@@ -143,15 +143,16 @@ class TestForwardPaths:
         np.testing.assert_allclose(fast, model.classify_graphs(graphs), atol=1e-10)
 
     def test_classify_matches_batch(self):
-        # the unbatched tape path (one signature vector) against the batch
+        # one graph's per-quantity signature, as a batch of one, through the
+        # batched tape path against the padded batch
         rng = np.random.default_rng(6)
         model = DenoiseModel(seed=2)
         g = random_graph(rng, 5)
         probs_graphs = model.classify_graphs([g])[0]
         from evdenoise.eventconv import eventconv_forward
         sig = eventconv_forward(compute_quantities(g), model.eventconv)
-        logits = model.logits_from_signature(sig, batched=False)
-        probs_single = T.softmax(logits, axis=-1).value
+        logits = model.logits_from_signature(T.reshape(sig, (1, -1)))
+        probs_single = T.softmax(logits, axis=-1).value[0]
         np.testing.assert_allclose(probs_single, probs_graphs, atol=1e-12)
 
     def test_empty_batch(self):
@@ -332,7 +333,7 @@ class TestFusedOps:
         rows = [T.reshape(eventconv_forward(compute_quantities(g), model.eventconv),
                           (1, -1)) for g in graphs]
         unfused = T.cross_entropy(model.logits_from_signature(
-            T.concat(rows, axis=0), batched=True), labels)
+            T.concat(rows, axis=0)), labels)
         want = self.gradients(model, unfused)
 
         assert abs(float(fused.value) - float(unfused.value)) <= 1e-10
