@@ -14,7 +14,7 @@ import numpy as np
 from . import bench
 from .baselines import make_filter
 from .config import ConfigError, RunConfig, parse_scene_file
-from .events import EventFormatError, EventStream, read_events, write_events
+from .events import EventFormatError, read_events, stream_from_arrays, write_events
 from .eventconv import QuantitySet
 from .graph import VolumeSpec
 from .kogtl import (FrameFormatError, LabelingConfig, kogtl_pipeline,
@@ -158,12 +158,14 @@ def cmd_filter(args) -> int:
         decisions = filt.run_batch(stream)
     else:
         decisions = np.array([filt.step(e) for e in stream], dtype=np.int64)
-    kept = [e for e, d in zip(stream, decisions) if d == 1]
-    write_events(EventStream(kept, geometry), _out_path(args, "filtered.csv"))
+    keep = decisions == 1
+    kept = int(np.count_nonzero(keep))
+    write_events(stream_from_arrays(*(c[keep] for c in stream.arrays()), geometry=geometry),
+                 _out_path(args, "filtered.csv"))
     np.savetxt(_out_path(args, "decisions.txt"), decisions, fmt="%d")
     _write_manifest(args, cfg, {"algo": args.algo, "mode": args.mode,
-                                "events": len(stream), "kept": len(kept)})
-    print(f"{args.algo}: kept {len(kept)}/{len(stream)} events")
+                                "events": len(stream), "kept": kept})
+    print(f"{args.algo}: kept {kept}/{len(stream)} events")
     return 0
 
 

@@ -46,13 +46,6 @@ class QuantitySet:
         return cls(VARIANTS[name])
 
     @property
-    def variant_name(self) -> str:
-        for name, sel in VARIANTS.items():
-            if sel == self.selected:
-                return name
-        return "custom"  # arbitrary subsets are experimental
-
-    @property
     def count(self) -> int:
         return len(self.selected)
 

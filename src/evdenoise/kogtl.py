@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .events import Event, EventStream, LABEL_NOISE, LABEL_REAL
+from .events import EventStream, LABEL_NOISE, LABEL_REAL, stream_from_arrays
 
 
 @dataclass
@@ -59,22 +59,19 @@ def synchronize(events: EventStream, frames: Sequence[ApsFrame],
                 start_offset_us: int = 0):
     """Partition events into per-frame batches: batch i holds events with
     t_frame[i] <= t < t_frame[i+1] (final batch unbounded above), after
-    subtracting the global start-time offset.  Returns (batches, pre_batch)
-    where each batch is a list of (stream index, shifted Event)."""
+    subtracting the global start-time offset.  Returns (batches, pre_batch):
+    arrays of stream indices, in stream order."""
     if not frames:
         raise ValueError("empty frame list")
-    times = [f.t_us for f in frames]
-    if any(b < a for a, b in zip(times, times[1:])):
+    times = np.array([f.t_us for f in frames], dtype=np.int64)
+    if np.any(times[1:] < times[:-1]):
         raise ValueError("frames must be sorted by timestamp")
-    batches: List[List[Tuple[int, Event]]] = [[] for _ in frames]
-    pre_batch: List[Tuple[int, Event]] = []
-    for i, e in enumerate(events):
-        t = e.t - start_offset_us
-        if t < times[0]:
-            pre_batch.append((i, e))
-            continue
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        batches[k].append((i, e))
+    t = events.arrays()[0] - start_offset_us
+    # the frame each event falls after; -1 before the first frame
+    frame = np.searchsorted(times, t, side="right") - 1
+    order = np.argsort(frame, kind="stable")
+    pre_batch, *batches = np.split(
+        order, np.cumsum(np.bincount(frame + 1, minlength=len(frames) + 1))[:-1])
     return batches, pre_batch
 
 
@@ -181,25 +178,21 @@ def icp_align(points: np.ndarray, edges: EdgeMap,
     return IcpResult(dx, dy, residual, iterations, converged)
 
 
-def label_events(batch: Sequence[Tuple[int, Event]], edges: EdgeMap,
-                 shift: Tuple[float, float], B: int):
+def label_events(x: np.ndarray, y: np.ndarray, edges: EdgeMap,
+                 shift: Tuple[float, float], B: int) -> np.ndarray:
     """Label each event real iff its shifted pixel lies within Chebyshev
-    distance B of an edge pixel; noise otherwise.  Returns a list of
-    (stream index, label)."""
+    distance B of an edge pixel; noise otherwise.  Returns one label per
+    (x, y) coordinate pair."""
     H, W = edges.mask.shape
     near = ndimage.binary_dilation(
         edges.mask, structure=np.ones((2 * B + 1, 2 * B + 1), dtype=bool)) \
         if B > 0 else edges.mask
-    out = []
-    dx, dy = shift
-    for i, e in enumerate(batch):
-        idx, ev = e
-        x = int(np.rint(ev.x + dx))
-        y = int(np.rint(ev.y + dy))
-        inside = 0 <= x < W and 0 <= y < H
-        label = LABEL_REAL if (inside and near[y, x]) else LABEL_NOISE
-        out.append((idx, label))
-    return out
+    xs = np.rint(np.asarray(x) + shift[0]).astype(np.int64)
+    ys = np.rint(np.asarray(y) + shift[1]).astype(np.int64)
+    inside = (xs >= 0) & (xs < W) & (ys >= 0) & (ys < H)
+    real = np.zeros(len(xs), dtype=bool)
+    real[inside] = near[ys[inside], xs[inside]]
+    return np.where(real, LABEL_REAL, LABEL_NOISE)
 
 
 def kogtl_pipeline(events: EventStream, frames: Sequence[ApsFrame],
@@ -207,31 +200,29 @@ def kogtl_pipeline(events: EventStream, frames: Sequence[ApsFrame],
     """Full pipeline: synchronize -> canny -> icp -> label.
 
     Returns (labeled EventStream, per-batch IcpResult list).  Events in the
-    pre-frame batch, or in batches with no events or no edges, keep an
-    unknown label.
+    pre-frame batch, or in batches with no events or no edges, keep their
+    label.
     """
     config = config or LabelingConfig()
     if not frames:
         raise ValueError("empty frame list")
     batches, _pre = synchronize(events, frames, config.start_offset_us)
-    labels: dict = {}
+    t, x, y, p, label = events.arrays()
+    labels = label.copy()
     reports: List[Optional[IcpResult]] = []
     for frame, batch in zip(frames, batches):
-        if not batch:
+        if not len(batch):
             reports.append(None)
             continue
         edges = canny_edges(frame, config)
         if not edges.mask.any():
             reports.append(None)
             continue
-        points = np.array([[ev.x, ev.y] for _, ev in batch], dtype=np.float64)
-        icp = icp_align(points, edges, config)
+        bx, by = x[batch], y[batch]
+        icp = icp_align(np.stack([bx, by], axis=1), edges, config)
         reports.append(icp)
-        for idx, label in label_events(batch, edges, (icp.dx, icp.dy), config.B):
-            labels[idx] = label
-    labeled = [Event(e.t, e.x, e.y, e.p, labels.get(i, e.label))
-               for i, e in enumerate(events)]
-    return EventStream(labeled, events.geometry), reports
+        labels[batch] = label_events(bx, by, edges, (icp.dx, icp.dy), config.B)
+    return stream_from_arrays(t, x, y, p, labels, events.geometry), reports
 
 
 # -- PGM (binary P5) frame I/O ---------------------------------------------

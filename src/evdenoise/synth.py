@@ -111,63 +111,47 @@ def generate(scene: SceneSpec) -> GeneratedDataset:
     rng = np.random.default_rng(scene.seed)
     W, H = scene.geometry.width, scene.geometry.height
     duration_s = scene.duration_us / 1e6
-    ts: List[float] = []
-    xs: List[int] = []
-    ys: List[int] = []
-    ps: List[int] = []
-    labels: List[int] = []
+    # (t in float us, x, y, p, label) of each source, in generation order
+    parts: List[Tuple[np.ndarray, ...]] = []
 
-    real = noise = hot = 0
+    def add(t_us, x, y, polarity, label):
+        parts.append((t_us, x, y, np.full(len(t_us), polarity), np.full(len(t_us), label)))
+
     for edge in scene.edges:
-        extent = W if edge.orientation == "vertical" else H
-        lateral = H if edge.orientation == "vertical" else W
-        for c, t_s in _crossing_times(edge, extent, duration_s):
-            jitter = rng.normal(0.0, scene.jitter_us, size=lateral) \
-                if scene.jitter_us > 0 else np.zeros(lateral)
-            for j in range(lateral):
-                t_us = t_s * 1e6 + jitter[j]
-                if not (0 <= t_us < scene.duration_us):
-                    continue
-                x, y = (c, j) if edge.orientation == "vertical" else (j, c)
-                ts.append(t_us)
-                xs.append(x)
-                ys.append(y)
-                ps.append(edge.polarity)
-                labels.append(LABEL_REAL)
-                real += 1
+        vertical = edge.orientation == "vertical"
+        extent, lateral = (W, H) if vertical else (H, W)
+        crossings = np.array(_crossing_times(edge, extent, duration_s)).reshape(-1, 2)
+        # one row of lateral jitter per crossing, drawn in crossing order
+        jitter = rng.normal(0.0, scene.jitter_us, size=(len(crossings), lateral)) \
+            if scene.jitter_us > 0 else np.zeros((len(crossings), lateral))
+        t_us = crossings[:, 1:] * 1e6 + jitter
+        keep = (0 <= t_us) & (t_us < scene.duration_us)
+        row, j = np.nonzero(keep)
+        c = crossings[row, 0].astype(np.int64)
+        add(t_us[keep], *((c, j) if vertical else (j, c)), edge.polarity, LABEL_REAL)
+    real = sum(len(part[0]) for part in parts)
 
+    noise = hot = 0
     if scene.noise_rate_hz > 0:
         lam = scene.noise_rate_hz * W * H * duration_s
-        count = rng.poisson(lam)
-        t_noise = rng.uniform(0, scene.duration_us, size=count)
-        x_noise = rng.integers(0, W, size=count)
-        y_noise = rng.integers(0, H, size=count)
-        p_noise = rng.choice([-1, 1], size=count)
-        for i in range(count):
-            ts.append(float(t_noise[i]))
-            xs.append(int(x_noise[i]))
-            ys.append(int(y_noise[i]))
-            ps.append(int(p_noise[i]))
-            labels.append(LABEL_NOISE)
-            noise += 1
+        noise = rng.poisson(lam)
+        t_noise = rng.uniform(0, scene.duration_us, size=noise)
+        x_noise = rng.integers(0, W, size=noise)
+        y_noise = rng.integers(0, H, size=noise)
+        add(t_noise, x_noise, y_noise, rng.choice([-1, 1], size=noise), LABEL_NOISE)
 
     for hp in scene.hot_pixels:
         count = rng.poisson(hp.rate_hz * duration_s)
-        t_hot = rng.uniform(0, scene.duration_us, size=count)
-        for i in range(count):
-            ts.append(float(t_hot[i]))
-            xs.append(hp.x)
-            ys.append(hp.y)
-            ps.append(1)
-            labels.append(LABEL_NOISE)
-            hot += 1
+        add(rng.uniform(0, scene.duration_us, size=count), np.full(count, hp.x),
+            np.full(count, hp.y), 1, LABEL_NOISE)
+        hot += count
 
-    order = np.argsort(np.asarray(ts), kind="stable")
-    t_arr = np.asarray(ts)[order].astype(np.int64)
-    x_arr = np.asarray(xs, dtype=np.int64)[order]
-    y_arr = np.asarray(ys, dtype=np.int64)[order]
-    p_arr = np.asarray(ps, dtype=np.int64)[order]
-    l_arr = np.asarray(labels, dtype=np.int64)[order]
+    ts = np.concatenate([np.empty(0)] + [part[0] for part in parts])
+    order = np.argsort(ts, kind="stable")
+    t_arr = ts[order].astype(np.int64)
+    x_arr, y_arr, p_arr, l_arr = (
+        np.concatenate([np.empty(0, np.int64)] + [part[k] for part in parts])[order]
+        for k in range(1, 5))
     # integer-microsecond rounding may reorder equal-rounded neighbors; re-sort
     reorder = np.argsort(t_arr, kind="stable")
     stream = stream_from_arrays(t_arr[reorder], x_arr[reorder], y_arr[reorder],

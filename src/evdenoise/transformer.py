@@ -523,17 +523,12 @@ class DenoiseModel:
                  quantities: QuantitySet = None,
                  msg_width: int = 4,
                  heads: int = 2, enc_layers: int = 2, dec_layers: int = 2,
-                 ffn_mult: int = 4, seed: int = 0,
-                 single_token: bool = False):
+                 ffn_mult: int = 4, seed: int = 0):
         self.volume = volume or VolumeSpec()
         self.quantities = quantities or QuantitySet()
         self.msg_width = msg_width
-        self.single_token = single_token
-        q = self.quantities.count
-        if single_token:
-            cfg = ModelConfig(1, q * msg_width, heads, enc_layers, dec_layers, ffn_mult)
-        else:
-            cfg = ModelConfig(q, msg_width, heads, enc_layers, dec_layers, ffn_mult)
+        cfg = ModelConfig(self.quantities.count, msg_width, heads, enc_layers,
+                          dec_layers, ffn_mult)
         self.config = cfg
         rng = np.random.default_rng(seed)
         self.eventconv = EventConvParams(self.quantities, msg_width, rng)
@@ -731,7 +726,8 @@ def save_model(model: DenoiseModel, path) -> None:
                    "N_max": model.volume.N_max},
         "quantities": list(model.quantities.selected),
         "msg_width": model.msg_width,
-        "single_token": model.single_token,
+        # v1 header key of a removed one-token layout; always false
+        "single_token": False,
         "heads": model.config.heads,
         "enc_layers": model.config.enc_layers,
         "dec_layers": model.config.dec_layers,
@@ -779,6 +775,8 @@ def load_model(path) -> DenoiseModel:
     hdr = _read_exact(f, _read_u32(f, path), path)
     try:
         header = json.loads(hdr)
+        if header["single_token"]:
+            raise ValueError("the single-token layout is no longer supported")
         model = DenoiseModel(
             volume=VolumeSpec(**header["volume"]),
             quantities=QuantitySet(tuple(header["quantities"])),
@@ -787,7 +785,6 @@ def load_model(path) -> DenoiseModel:
             enc_layers=header["enc_layers"],
             dec_layers=header["dec_layers"],
             ffn_mult=header["ffn_mult"],
-            single_token=header["single_token"],
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None

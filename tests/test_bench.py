@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evdenoise.baselines import NNbFilter
-from evdenoise.bench import (EDNCNN_INPUT_ELEMENTS, ConfusionCounts, Metrics,
+from evdenoise.bench import (EDNCNN_INPUT_ELEMENTS, ConfusionCounts,
                              confusion, format_metric, memory_estimate,
                              metrics_from_counts, time_filter, windowed_eval,
                              write_metrics_csv, write_series)

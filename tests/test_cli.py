@@ -183,6 +183,16 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and ":3:" in err
 
 
+@pytest.mark.parametrize("mode", ["batch", "seq"])
+def test_csv_integer_beyond_int64_exits_2(tmp_path, capsys, mode):
+    events = tmp_path / "big.csv"
+    events.write_text("t_us,x,y,p,label\n1,2,3,1,\n100000000000000000000,2,3,1,\n")
+    assert main(["--out-dir", str(tmp_path), "filter", str(events),
+                 "--algo", "ba", "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ":3:" in err and "int64" in err
+
+
 def test_empty_frame_dir_exits_2(workspace, tmp_path, capsys):
     frames = tmp_path / "frames"
     frames.mkdir()

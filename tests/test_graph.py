@@ -255,12 +255,13 @@ def test_oracle_skips_off_sensor_events():
 def test_batch_equals_oracle_property(seed, n, L, n_max, data):
     rng = np.random.default_rng(seed)
     geom = SensorGeometry(12, 10)
-    stream = random_stream(rng, n, geom=geom, t_max=5_000)
+    events = list(random_stream(rng, n, geom=geom, t_max=5_000))
     # about one event in eight just off an edge of the sensor
     for i in np.flatnonzero(rng.random(n) < 0.125):
-        e = stream.events[i]
+        e = events[i]
         x, y = [(-1, e.y), (geom.width, e.y), (e.x, -1), (e.x, geom.height)][i % 4]
-        stream.events[i] = Event(e.t, x, y, e.p)
+        events[i] = Event(e.t, x, y, e.p)
+    stream = EventStream(events, geom)
     spec = VolumeSpec(L=L, T_us=int(rng.integers(1, 3_000)), N_max=n_max)
     arrays = stream.arrays()
     t, x, y = arrays[0], arrays[1], arrays[2]

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of the tests imports is used in
+that module.
 
 No linter ships with the toolchain, so this walks the syntax trees with the
 standard library.  Package `__init__` modules are exempt: re-exporting is
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "evdenoise"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "evdenoise"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -47,6 +50,8 @@ def test_detector_flags_unused_and_keeps_used():
     assert unused_imports(source) == [(2, "sys")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(SRC).as_posix() for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.relative_to(SRC).as_posix() for p in MODULES]
+                         + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -7,9 +7,9 @@ import pytest
 from evdenoise.events import Event, EventStream, LABEL_NOISE, LABEL_REAL, \
     SensorGeometry
 from evdenoise.kogtl import (ApsFrame, EdgeMap, FrameFormatError,
-                             LabelingConfig, canny_edges, icp_align,
-                             kogtl_pipeline, label_events, read_frame_dir,
-                             read_pgm, synchronize, write_pgm)
+                             canny_edges, icp_align, kogtl_pipeline,
+                             label_events, read_frame_dir, read_pgm,
+                             synchronize, write_pgm)
 
 
 def step_frame(width=64, height=48, edge_x=20, dark=50, bright=200, t_us=0):
@@ -25,16 +25,17 @@ class TestSynchronize:
                              SensorGeometry(2, 2))
         batches, pre = synchronize(events, frames)
         assert [len(b) for b in batches] == [2, 2, 2]
-        assert pre == []
-        assert [e.t for _, e in batches[0]] == [0, 50]
-        assert [e.t for _, e in batches[2]] == [200, 500]
+        assert len(pre) == 0
+        t = events.arrays()[0]
+        assert t[batches[0]].tolist() == [0, 50]
+        assert t[batches[2]].tolist() == [200, 500]
 
     def test_pre_frame_events(self):
         frames = [ApsFrame(np.zeros((2, 2), np.uint8), 100)]
         events = EventStream([Event(10, 0, 0, 1), Event(150, 0, 0, 1)],
                              SensorGeometry(2, 2))
         batches, pre = synchronize(events, frames)
-        assert len(pre) == 1 and pre[0][0] == 0
+        assert pre.tolist() == [0]
         assert len(batches[0]) == 1
 
     def test_start_offset(self):
@@ -120,25 +121,23 @@ class TestLabelEvents:
         mask = np.zeros((20, 20), dtype=bool)
         mask[10, 10] = True
         edges = EdgeMap(mask, 0)
-        batch = [(0, Event(0, 12, 10, 1)),   # distance 2 -> real at B=2
-                 (1, Event(0, 13, 10, 1)),   # distance 3 -> noise
-                 (2, Event(0, 12, 12, 1)),   # Chebyshev 2 -> real
-                 (3, Event(0, 0, 0, 1))]
-        out = dict(label_events(batch, edges, (0.0, 0.0), B=2))
-        assert out == {0: LABEL_REAL, 1: LABEL_NOISE, 2: LABEL_REAL, 3: LABEL_NOISE}
+        x = np.array([12, 13, 12, 0])    # Chebyshev distances 2, 3, 2, 10:
+        y = np.array([10, 10, 12, 0])    # real, noise, real, noise at B=2
+        out = label_events(x, y, edges, (0.0, 0.0), B=2)
+        assert out.tolist() == [LABEL_REAL, LABEL_NOISE, LABEL_REAL, LABEL_NOISE]
 
     def test_shift_applied_before_lookup(self):
         mask = np.zeros((20, 20), dtype=bool)
         mask[10, 10] = True
         edges = EdgeMap(mask, 0)
-        batch = [(0, Event(0, 7, 10, 1))]
-        assert dict(label_events(batch, edges, (3.0, 0.0), B=0)) == {0: LABEL_REAL}
-        assert dict(label_events(batch, edges, (0.0, 0.0), B=0)) == {0: LABEL_NOISE}
+        x, y = np.array([7]), np.array([10])
+        assert label_events(x, y, edges, (3.0, 0.0), B=0).tolist() == [LABEL_REAL]
+        assert label_events(x, y, edges, (0.0, 0.0), B=0).tolist() == [LABEL_NOISE]
 
     def test_out_of_frame_is_noise(self):
         edges = EdgeMap(np.ones((4, 4), dtype=bool), 0)
-        assert dict(label_events([(0, Event(0, 50, 50, 1))], edges,
-                                 (0.0, 0.0), B=2)) == {0: LABEL_NOISE}
+        assert label_events(np.array([50]), np.array([50]), edges,
+                            (0.0, 0.0), B=2).tolist() == [LABEL_NOISE]
 
 
 class TestPipeline:

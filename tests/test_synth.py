@@ -1,16 +1,17 @@
 """Synthetic scene generator: determinism, event accounting, frames, and
 balanced training-set extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from evdenoise.events import (LABEL_NOISE, LABEL_REAL, Event, EventStream,
-                              SensorGeometry, validate_stream)
+                              SensorGeometry, validate_stream, write_events)
 from evdenoise.graph import VolumeSpec
-from evdenoise.synth import (LIGHT_PRESETS, GeneratedDataset, HotPixel,
-                             MovingEdge, SceneSpec, build_training_set,
-                             expected_noise_count, generate, preset_scene,
-                             render_frame)
+from evdenoise.synth import (LIGHT_PRESETS, HotPixel, MovingEdge, SceneSpec,
+                             build_training_set, expected_noise_count,
+                             generate, preset_scene, render_frame)
 
 
 def simple_scene(**kwargs):
@@ -186,3 +187,15 @@ class TestTrainingSet:
         stream = EventStream(events, ds.stream.geometry)
         with pytest.raises(ValueError, match=f"event {k} .* outside"):
             build_training_set(stream, VolumeSpec(), per_class=min(counts))
+
+
+def test_generate_matches_recorded_bytes(tmp_path):
+    # pinned bytes: a change to the random draws, their order or the
+    # timestamp rounding changes the generated stream
+    data = generate(preset_scene("light.5lux", seed=3, duration_us=100_000))
+    assert (len(data.stream), data.real_count, data.noise_count,
+            data.hot_count) == (1155, 496, 659, 52)
+    path = tmp_path / "scene.bin"
+    write_events(data.stream, path, format="bin")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "0172b53b2dc25c15da4d3a44a2791a2c81750b4d4d636cc16c57e36a62e371b5"

@@ -113,7 +113,6 @@ def perturb(model, rng, scale=0.3):
 
 
 FAST_PATH_CONFIGS = {
-    "single_token": dict(single_token=True),
     "3q": dict(quantities=QuantitySet.from_variant("3q")),
     "heads1": dict(heads=1),
     "heads3": dict(heads=3),
@@ -212,10 +211,11 @@ class TestPredictStream:
         model = DenoiseModel(volume=VolumeSpec(L=2, T_us=20_000, N_max=6), seed=4)
         perturb(model, rng, scale=0.1)
         geom = SensorGeometry(10, 8)
-        stream = random_stream(rng, 500, geom=geom, t_max=250_000)
+        events = list(random_stream(rng, 500, geom=geom, t_max=250_000))
         for i in (3, 100, 101, 377):
-            e = stream.events[i]
-            stream.events[i] = Event(e.t, (-1, geom.width)[i % 2], e.y, e.p)
+            e = events[i]
+            events[i] = Event(e.t, (-1, geom.width)[i % 2], e.y, e.p)
+        stream = EventStream(events, geom)
         d_seq, s_seq = predict_stream(stream, model, mode="seq")
         assert s_seq == [3, 100, 101, 377]
         assert 0 < d_seq[d_seq >= 0].mean() < 1
@@ -443,3 +443,13 @@ class TestCheckpoint:
             load_model(path)
         path.write_bytes(blob)
         load_model(path)
+
+    def test_rejects_the_removed_single_token_layout(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(DenoiseModel(seed=1), path)
+        blob = path.read_bytes()
+        # the v1 header still carries the key, always false
+        assert blob.count(b'"single_token": false') == 1
+        path.write_bytes(blob.replace(b'"single_token": false', b'"single_token": true '))
+        with pytest.raises(CheckpointError, match="single-token"):
+            load_model(path)
