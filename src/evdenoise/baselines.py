@@ -23,27 +23,6 @@ DECISION_NOISE = 0
 DECISION_REAL = 1
 
 
-class TimestampMap:
-    """One most-recent-timestamp memory cell per pixel."""
-
-    def __init__(self, geometry: SensorGeometry):
-        self.geometry = geometry
-        self.cells = np.full((geometry.width, geometry.height), -np.inf)
-
-    @property
-    def cell_count(self) -> int:
-        return self.geometry.width * self.geometry.height
-
-    def window_hits(self, x: int, y: int, L: int, t_lo: float, t_hi: float) -> int:
-        x0, x1 = max(0, x - L), min(self.geometry.width, x + L + 1)
-        y0, y1 = max(0, y - L), min(self.geometry.height, y + L + 1)
-        block = self.cells[x0:x1, y0:y1]
-        return int(np.count_nonzero((block >= t_lo) & (block < t_hi)))
-
-    def update(self, x: int, y: int, t: int) -> None:
-        self.cells[x, y] = t
-
-
 class BaseFilter:
     """step(event) -> decision; subclasses decide in-bounds events in
     _decide and mutate their state after deciding."""
@@ -161,7 +140,41 @@ def _map_hits(stamps: np.ndarray, cx, cy, t, T_us: int, radius: Tuple[int, int],
     return out
 
 
-class DelbruckBAFilter(BaseFilter):
+class _CellMemoryFilter(BaseFilter):
+    """One most-recent-timestamp memory cell per 2^S x 2^S pixel group;
+    real iff at least k cells of the (2L+1)^2 window around the event's
+    cell were written within [t - T, t)."""
+
+    S = 0
+
+    def __init__(self, geometry: SensorGeometry, L: int, T_us: int, k: int):
+        self.geometry, self.L, self.T_us, self.k = geometry, L, T_us, k
+        self.reset()
+
+    def reset(self):
+        side = 1 << self.S
+        self.cells = np.full((-(-self.geometry.width // side),
+                              -(-self.geometry.height // side)), -np.inf)
+
+    @property
+    def cell_count(self) -> int:
+        return self.cells.size
+
+    def _decide(self, e: Event) -> int:
+        cx, cy, L = e.x >> self.S, e.y >> self.S, self.L
+        # slicing clips the window at the grid's far edges
+        block = self.cells[max(0, cx - L): cx + L + 1, max(0, cy - L): cy + L + 1]
+        hits = np.count_nonzero((block >= e.t - self.T_us) & (block < e.t))
+        self.cells[cx, cy] = e.t
+        return DECISION_REAL if hits >= self.k else DECISION_NOISE
+
+    def _decide_batch(self, t, x, y, p):
+        hits = _map_hits(self.cells, x >> self.S, y >> self.S, t, self.T_us,
+                         (self.L, self.L))
+        return (hits >= self.k).astype(np.int64)
+
+
+class DelbruckBAFilter(_CellMemoryFilter):
     """Background-activity filter: real iff >= k supporting events in the
     (2L+1)^2 x T window strictly before the arriving event."""
 
@@ -169,80 +182,31 @@ class DelbruckBAFilter(BaseFilter):
 
     def __init__(self, geometry: SensorGeometry, L: int = 1,
                  T_us: int = 1000, k: int = 8):
-        self.geometry, self.L, self.T_us, self.k = geometry, L, T_us, k
-        self.reset()
-
-    def reset(self):
-        self.map = TimestampMap(self.geometry)
-
-    def _decide(self, e: Event) -> int:
-        hits = self.map.window_hits(e.x, e.y, self.L, e.t - self.T_us, e.t)
-        decision = DECISION_REAL if hits >= self.k else DECISION_NOISE
-        self.map.update(e.x, e.y, e.t)
-        return decision
-
-    def _decide_batch(self, t, x, y, p):
-        hits = _map_hits(self.map.cells, x, y, t, self.T_us, (self.L, self.L))
-        return (hits >= self.k).astype(np.int64)
+        super().__init__(geometry, L, T_us, k)
 
 
-class NNbFilter(BaseFilter):
-    """Nearest-neighbor filter: real iff any prior event in 3x3 x 1 ms."""
+class NNbFilter(_CellMemoryFilter):
+    """Nearest-neighbor filter: real iff any prior event in 3x3 x 1 ms
+    (the BA filter with k = 1)."""
 
     name = "nnb"
 
     def __init__(self, geometry: SensorGeometry, L: int = 1, T_us: int = 1000):
-        self.geometry, self.L, self.T_us = geometry, L, T_us
-        self.reset()
-
-    def reset(self):
-        self.map = TimestampMap(self.geometry)
-
-    def _decide(self, e: Event) -> int:
-        hits = self.map.window_hits(e.x, e.y, self.L, e.t - self.T_us, e.t)
-        decision = DECISION_REAL if hits >= 1 else DECISION_NOISE
-        self.map.update(e.x, e.y, e.t)
-        return decision
-
-    def _decide_batch(self, t, x, y, p):
-        hits = _map_hits(self.map.cells, x, y, t, self.T_us, (self.L, self.L))
-        return (hits >= 1).astype(np.int64)
+        super().__init__(geometry, L, T_us, k=1)
 
 
-class LiuFilter(BaseFilter):
+class LiuFilter(_CellMemoryFilter):
     """Sub-sampled group filter: one timestamp cell per 2^S x 2^S pixel group;
     real iff the event's group or any of the 8 surrounding groups fired
-    within the window strictly before the event."""
+    within the window strictly before the event (NNb on the group grid)."""
 
     name = "liu"
 
     def __init__(self, geometry: SensorGeometry, S: int = 1, T_us: int = 1000):
         if S not in (1, 2):
             raise ValueError("sub-sampling factor S must be 1 or 2")
-        self.geometry, self.S, self.T_us = geometry, S, T_us
-        self.gw = -(-geometry.width // (1 << S))
-        self.gh = -(-geometry.height // (1 << S))
-        self.reset()
-
-    def reset(self):
-        self.cells = np.full((self.gw, self.gh), -np.inf)
-
-    @property
-    def cell_count(self) -> int:
-        return self.gw * self.gh
-
-    def _decide(self, e: Event) -> int:
-        gx, gy = e.x >> self.S, e.y >> self.S
-        x0, x1 = max(0, gx - 1), min(self.gw, gx + 2)
-        y0, y1 = max(0, gy - 1), min(self.gh, gy + 2)
-        block = self.cells[x0:x1, y0:y1]
-        hit = bool(np.any((block >= e.t - self.T_us) & (block < e.t)))
-        self.cells[gx, gy] = e.t
-        return DECISION_REAL if hit else DECISION_NOISE
-
-    def _decide_batch(self, t, x, y, p):
-        hits = _map_hits(self.cells, x >> self.S, y >> self.S, t, self.T_us, (1, 1))
-        return (hits >= 1).astype(np.int64)
+        self.S = S
+        super().__init__(geometry, L=1, T_us=T_us, k=1)
 
 
 class KhodamoradiFilter(BaseFilter):

@@ -255,11 +255,11 @@ def _read_bin(path):
     records = np.fromfile(path, dtype=_BIN_RECORD, count=count, offset=head)
     p, label = records["p"], records["label"]
     bad_p = (p != 1) & (p != -1)
-    bad = np.flatnonzero(bad_p | (label > LABEL_REAL))
+    # -1 is the one label byte for unknown
+    bad = np.flatnonzero(bad_p | (label < -1) | (label > LABEL_REAL))
     if len(bad):
         i = int(bad[0])
         what = (f"polarity must be -1 or +1, got {p[i]}" if bad_p[i]
-                else f"label must be 0, 1 or None, got {label[i]}")
+                else f"label must be -1 (unknown), 0 or 1, got {label[i]}")
         raise EventFormatError(f"{path}: offset {head + i * size}: {what}")
-    # any negative label byte reads as unknown
-    return records["t"].copy(), records["x"], records["y"], p, np.maximum(label, -1)
+    return records["t"].copy(), records["x"], records["y"], p, label

@@ -14,7 +14,7 @@ updates a model in a few vector operations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -459,56 +459,32 @@ def cross_entropy(logits, labels) -> Tensor:
     return _make(value, (logits,), backward)
 
 
-Parameters = Union[ParameterBuffer, Sequence[Parameter]]
-
-
-def _size(params: Parameters) -> int:
-    if isinstance(params, ParameterBuffer):
-        return params.value.size
-    return sum(p.value.size for p in params)
-
-
 class AdamState:
-    """First/second-moment accumulators, flat over the parameters in
-    order, and a step counter."""
+    """First/second-moment accumulators, flat over a parameter buffer, and
+    a step counter."""
 
-    def __init__(self, params: Parameters,
+    def __init__(self, params: ParameterBuffer,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
-        self.m = np.zeros(_size(params))
-        self.v = np.zeros(_size(params))
+        self.m = np.zeros(params.value.size)
+        self.v = np.zeros(params.value.size)
 
 
-def adam_step(params: Parameters, state: AdamState, lr: float) -> None:
-    """Standard Adam update with bias correction; gradients are cleared.
-
-    A ParameterBuffer is updated as one flat vector; a sequence of
-    parameters one by one, with the same elementwise arithmetic.
-    """
+def adam_step(params: ParameterBuffer, state: AdamState, lr: float) -> None:
+    """Standard Adam update with bias correction, as one flat vector
+    update of the buffer; its gradients are cleared."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-
-    def update(value, g, m, v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-    if isinstance(params, ParameterBuffer):
-        update(params.value, params.grad, state.m, state.v)
-        params.grad.fill(0.0)
-        return
-    offset = 0
-    for p in params:
-        end = offset + p.value.size
-        update(p.value, p.grad, state.m[offset:end].reshape(p.value.shape),
-               state.v[offset:end].reshape(p.value.shape))
-        p.grad = None
-        offset = end
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * params.grad
+    v *= b2
+    v += (1 - b2) * params.grad * params.grad
+    params.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    params.grad.fill(0.0)
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int, name: str) -> Parameter:

@@ -186,13 +186,16 @@ def decoder_forward(enc_out, layers: Sequence[DecoderLayerParams]) -> Tensor:
 # they share one normalization and run as one attention over all their
 # heads, and the stacked [wo1; wo2] projection sums their outputs.
 #
-# Training runs each block as one fused tape node (prenorm_attention,
-# prenorm_ffn) over views into the model's parameter buffer, refolding the
-# weights every step; streaming prediction folds them once into an
-# InferencePlan and runs plain numpy.  The unfused tape ops
+# One numpy forward, _block_forward, runs a block from the weights _fold
+# makes of its views, for two callers.  Training wraps it in one fused tape
+# node per block (prenorm_attention, prenorm_ffn), refolding the weights
+# every step and keeping what the analytic backward reads; streaming
+# prediction folds them once into an InferencePlan and keeps nothing, so
+# the two compute the same logits bit for bit.  The unfused tape ops
 # (encoder_forward, decoder_forward, logits_from_signature) are the oracle
-# of both.  Summation order differs from theirs, so the paths agree to
-# rounding (the release gate holds them to 1e-10), not bit for bit.
+# of that forward and of the backward passes.  Summation order differs
+# from theirs, so they agree to rounding (the release gate holds them to
+# 1e-10), not bit for bit.
 
 class _Attn(NamedTuple):
     """Views of the (norm, attention) pairs that read one block input:
@@ -354,22 +357,69 @@ def _merge_heads(z: np.ndarray) -> np.ndarray:
     return z.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
 
 
+class _Block(NamedTuple):
+    """A pre-norm block's folded weights, sharing no memory with the
+    model's parameters."""
+
+    w_in: np.ndarray                # (D, P): folded input projection
+    b_in: np.ndarray                # (P,): its folded bias
+    w_out: np.ndarray               # (P_out, D)
+    b_out: Optional[np.ndarray]     # (D,) FFN output bias; None for attention
+    heads: int                      # attention heads; 0 for an FFN block
+
+
+def _fold(value: NamedTuple) -> _Block:
+    """The folded weights of the block behind an _Attn or _FFN view."""
+    if isinstance(value, _Attn):
+        P, _, H, D, _ = value.w.shape
+        return _Block(*_fold_attention(value), value.wo.reshape(-1, D).copy(),
+                      None, P * H)
+    return _Block(*_fold_ffn(value), value.w2.copy(), value.b2.copy(), 0)
+
+
+def _block_forward(blk: _Block, X: np.ndarray, B: int, S: int,
+                   saved: Optional[dict] = None) -> np.ndarray:
+    """X + block(X) over tokens X (B * S, D).
+
+    With `saved`, the intermediates a backward pass reads are stored in it
+    (xhat, inv, the projection `a`; for attention also `att` and the merged
+    heads `z`).  Without, the attention weights are released before the
+    heads are merged, which keeps them out of the peak working set.
+    """
+    xhat, inv = _normalize(X)
+    a = xhat @ blk.w_in
+    a += blk.b_in
+    if saved is not None:
+        saved.update(xhat=xhat, inv=inv, a=a)
+    if blk.heads:
+        q, k, v = _split_heads(a, B, S, blk.heads)
+        att = _np_softmax(q @ _transposed(k))             # (B, heads, S, S)
+        z = att @ v
+        if saved is not None:
+            saved["att"] = att
+        del att
+        a = _merge_heads(z)
+        if saved is not None:
+            saved["z"] = a
+    else:
+        np.maximum(a, 0.0, out=a)
+    y = a @ blk.w_out
+    if blk.b_out is not None:
+        y += blk.b_out
+    y += X
+    return y
+
+
 def prenorm_attention(x: Tensor, value: _Attn, grad: _Attn) -> Tensor:
     """x + sum_p MHA_p(LN_p(x)) over tokens x (B, S, D), as one tape node;
     its backward adds the weight gradients to the `grad` views."""
     B, S, D = x.shape
-    X = x.value.reshape(B * S, D)
     P, _, H, _, dh = value.w.shape
-    xhat, inv = _normalize(X)
-    w_in, b_in = _fold_attention(value)
-    qkv = xhat @ w_in
-    qkv += b_in
+    blk, saved = _fold(value), {}
+    y = _block_forward(blk, x.value.reshape(B * S, D), B, S, saved)
+    xhat, inv, qkv, att, z = (saved[n] for n in ("xhat", "inv", "a", "att", "z"))
     q, k, v = _split_heads(qkv, B, S, P * H)
-    att = _np_softmax(q @ _transposed(k))                 # (B, P * H, S, S)
-    z = _merge_heads(att @ v)
-    w_out = value.wo.reshape(-1, D)
-    y = z @ w_out
-    y += X
+    w_in, w_out = blk.w_in, blk.w_out
 
     def backward(g):
         G = g.reshape(B * S, D)
@@ -395,15 +445,10 @@ def prenorm_ffn(x: Tensor, value: _FFN, grad: _FFN) -> Tensor:
     """x + FFN(LN(x)) over tokens x (B, S, D), as one tape node; its
     backward adds the weight gradients to the `grad` views."""
     B, S, D = x.shape
-    X = x.value.reshape(B * S, D)
-    xhat, inv = _normalize(X)
-    w_in, b_in = _fold_ffn(value)
-    r = xhat @ w_in
-    r += b_in
-    np.maximum(r, 0.0, out=r)
-    y = r @ value.w2
-    y += value.b2
-    y += X
+    blk, saved = _fold(value), {}
+    y = _block_forward(blk, x.value.reshape(B * S, D), B, S, saved)
+    xhat, inv, r = saved["xhat"], saved["inv"], saved["a"]
+    w_in = blk.w_in
 
     def backward(g):
         G = g.reshape(B * S, D)
@@ -448,27 +493,6 @@ class TrainingPlan:
         return T.add(T.matmul(flat, self.head.w), self.head.b)
 
 
-class _Block(NamedTuple):
-    w_in: np.ndarray                # (D, P): folded input projection
-    b_in: np.ndarray                # (P,): its folded bias
-    w_out: np.ndarray               # (P_out, D)
-    b_out: Optional[np.ndarray]     # (D,) FFN output bias; None for attention
-    heads: int                      # attention heads; 0 for an FFN block
-
-
-def _attend(qkv: np.ndarray, B: int, S: int, heads: int) -> np.ndarray:
-    """Scaled dot-product attention per head over projected tokens
-    (B * S, 3 * heads * dh); returns the concatenated heads (B * S, heads * dh)."""
-    # _split_heads and _merge_heads, inlined: online, this runs once per event
-    dh = qkv.shape[1] // (3 * heads)
-    t = qkv.reshape(B, S, 3 * heads, dh).transpose(0, 2, 1, 3)   # (B, 3h, S, dh)
-    q, k, v = t[:, :heads], t[:, heads: 2 * heads], t[:, 2 * heads:]
-    # k stays a strided view: a contiguous copy would speed the product
-    # but add a k-sized array to the chunk's peak memory
-    z = _np_softmax(q @ k.transpose(0, 1, 3, 2)) @ v             # (B, h, S, dh)
-    return z.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
-
-
 class InferencePlan:
     """A DenoiseModel's weights packed for inference.
 
@@ -480,15 +504,7 @@ class InferencePlan:
         cfg = model.config
         self.seq_len, self.token_dim = cfg.seq_len, cfg.token_dim
         self.eventconv = pack_eventconv(model.eventconv)
-        self.blocks: List[_Block] = []
-        for value, _ in _block_views(model):
-            if isinstance(value, _Attn):
-                P, _, H, D, _ = value.w.shape
-                self.blocks.append(_Block(*_fold_attention(value),
-                                          value.wo.reshape(-1, D).copy(), None, P * H))
-            else:
-                self.blocks.append(_Block(*_fold_ffn(value), value.w2.copy(),
-                                          value.b2.copy(), 0))
+        self.blocks = [_fold(value) for value, _ in _block_views(model)]
         self.head_w = model.head.w.value.copy()
         self.head_b = model.head.b.value.copy()
 
@@ -497,22 +513,8 @@ class InferencePlan:
         S, D = self.seq_len, self.token_dim
         B = h.shape[0]
         x = h.reshape(B * S, D)
-        center, mean = _centering(D)
         for blk in self.blocks:
-            # _normalize, inlined: online, this loop runs once per event
-            xhat = x @ center
-            xhat *= ((xhat * xhat) @ mean + T.LAYER_NORM_EPS) ** -0.5
-            a = xhat @ blk.w_in
-            a += blk.b_in
-            if blk.heads:
-                a = _attend(a, B, S, blk.heads)
-            else:
-                np.maximum(a, 0.0, out=a)
-            out = a @ blk.w_out
-            if blk.b_out is not None:
-                out += blk.b_out
-            out += x
-            x = out
+            x = _block_forward(blk, x, B, S)
         return x.reshape(B, S * D) @ self.head_w + self.head_b
 
 

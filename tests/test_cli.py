@@ -183,6 +183,17 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and ":3:" in err
 
 
+@pytest.mark.parametrize("label", ["-1", "-5"])
+def test_explicit_negative_label_exits_2(tmp_path, capsys, label):
+    # the CLI reads CSV, where an unknown label is an empty field only
+    events = tmp_path / "bad.csv"
+    events.write_text(f"t_us,x,y,p,label\n0,1,2,1,\n10,1,2,1,{label}\n")
+    assert main(["--out-dir", str(tmp_path), "filter", str(events),
+                 "--algo", "nnb"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ":3:" in err and f"got {label}" in err
+
+
 @pytest.mark.parametrize("mode", ["batch", "seq"])
 def test_csv_integer_beyond_int64_exits_2(tmp_path, capsys, mode):
     events = tmp_path / "big.csv"

@@ -217,6 +217,8 @@ def test_csv_rejects_integer_beyond_int64_with_line(tmp_path):
 @pytest.mark.parametrize("record, match", [
     ((5, 1, 1, 0, 0), "offset 24: polarity must be -1 or \\+1, got 0"),
     ((5, 1, 1, 1, 2), "offset 24: label"),
+    # -1 is the one byte for an unknown label, as the CSV reader has one
+    ((5, 1, 1, 1, -5), "offset 24: label .*got -5"),
 ])
 def test_bin_rejects_bad_record_with_offset(tmp_path, record, match):
     path = tmp_path / "bad.bin"

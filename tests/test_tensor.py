@@ -215,7 +215,7 @@ class TestAdam:
         # with bias correction the first step is ~lr regardless of grad scale
         p = Parameter(np.array([0.0]), "p")
         p.grad = np.array([123.0])
-        adam_step([p], AdamState([p]), lr=0.01)
+        adam_step(p.buffer, AdamState(p.buffer), lr=0.01)
         assert p.value[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_matches_reference_sequence(self):
@@ -224,7 +224,7 @@ class TestAdam:
         ref = p.value.copy()
         m = np.zeros(4)
         v = np.zeros(4)
-        state = AdamState([p])
+        state = AdamState(p.buffer)
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
         for step in range(1, 6):
             g = rng.standard_normal(4)
@@ -232,16 +232,16 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             ref -= lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
             p.grad = g.copy()
-            adam_step([p], state, lr=lr)
+            adam_step(p.buffer, state, lr=lr)
         np.testing.assert_allclose(p.value, ref, atol=1e-12)
 
     def test_converges_on_quadratic(self):
         p = Parameter(np.array([5.0, -3.0]), "p")
-        state = AdamState([p])
+        state = AdamState(p.buffer)
         for _ in range(2000):
             loss = T.tsum(T.mul(p, p))
             loss.backward()
-            adam_step([p], state, lr=0.05)
+            adam_step(p.buffer, state, lr=0.05)
         assert np.all(np.abs(p.value) < 1e-3)
 
 

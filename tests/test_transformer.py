@@ -1,6 +1,8 @@
 """Transformer classifier: attention invariants, forward-path agreement,
 training, checkpoints, and streaming prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from evdenoise.eventconv import (QuantitySet, compute_quantities,
                                  quantities_padded)
 from evdenoise.graph import NormalizedGraph, VolumeSpec
 from evdenoise.nn.tensor import Parameter, Tensor, finite_diff_check
-from evdenoise.synth import TrainingSet
+from evdenoise.synth import TrainingSet, generate, preset_scene
 from evdenoise.transformer import (CheckpointError, DenoiseModel, MHAParams,
                                    ModelConfig, TrainConfig, TrainingPlan,
                                    attention, decoder_forward,
@@ -103,6 +105,25 @@ def padded(graphs):
         feats[i, : f.shape[0]] = f
         mask[i, : f.shape[0], 0] = 1.0
     return feats, mask
+
+
+def count_calls(monkeypatch, targets) -> dict:
+    """Calls per attribute name to each (owner, attribute) of `targets`
+    from now on, filled in as they happen."""
+    calls = {}
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for owner, attr in targets:
+        count(owner, attr)
+    return calls
 
 
 def perturb(model, rng, scale=0.3):
@@ -236,6 +257,48 @@ class TestPredictStream:
             predict_stream(random_stream(np.random.default_rng(0), 3),
                            DenoiseModel(), mode="nope")
 
+    def test_prediction_stays_on_the_traced_call_path(self, monkeypatch):
+        # the benchmark's per-layer metrics time prediction through these
+        # module and class attributes; each mode must call its own
+        calls = count_calls(monkeypatch, (
+            (tf, "batch_neighbor_indices"), (tf, "features_from_batch_indices"),
+            (tf, "quantities_padded"), (tf, "signature_batch_np"),
+            (tf, "node_features_single"),
+            (tf.RecencyStore, "query"), (tf.RecencyStore, "insert"),
+            (DenoiseModel, "classify_padded"), (DenoiseModel, "decide")))
+        model = DenoiseModel(seed=0)
+        stream = random_stream(np.random.default_rng(24), 50)
+        predict_stream(stream, model, mode="batch")
+        assert calls == {"batch_neighbor_indices": 1, "features_from_batch_indices": 1,
+                         "quantities_padded": 1, "signature_batch_np": 1,
+                         "classify_padded": 1, "decide": 1}
+        calls.clear()
+        predict_stream(stream, model, mode="seq")
+        assert calls == {"query": 50, "insert": 50, "node_features_single": 50,
+                         "quantities_padded": 50, "signature_batch_np": 50,
+                         "classify_padded": 50, "decide": 50}
+
+    def test_batch_fast_path_working_set(self):
+        # ~6,500 B/row: the fused decoder attention holds q, k, v and the
+        # scores of all its heads at once; holding the attention weights
+        # through the merge of the heads would add ~1,100 B/row
+        data = generate(preset_scene("light.5lux", seed=3, duration_us=400_000))
+        t, x, y, _, _ = data.stream.arrays()
+        model = DenoiseModel(seed=0)
+        rows = np.arange(4096)
+        nbr = tf.batch_neighbor_indices(t, x, y, model.volume, data.stream.geometry,
+                                        rows=rows)
+        feats, mask = tf.features_from_batch_indices(t, x, y, nbr, model.volume,
+                                                     rows=rows)
+        plan = tf.InferencePlan(model)
+        tracemalloc.start()
+        try:
+            model.classify_padded(feats, mask, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(rows) <= 6_800
+
 
 class TestPlanStaleness:
     """No inference plan outlives a weight change: classify_padded and
@@ -345,21 +408,10 @@ class TestFusedOps:
     def test_training_stays_on_the_traced_call_path(self, monkeypatch):
         # the benchmark's per-layer metrics time training through these
         # module attributes; one epoch must call each of them
-        calls = {}
-
-        def count(owner, attr):
-            fn = getattr(owner, attr)
-
-            def counted(*args, **kwargs):
-                calls[attr] = calls.get(attr, 0) + 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(owner, attr, counted)
-
-        for owner, attr in ((tf, "train"), (T.Tensor, "backward"), (T, "adam_step"),
-                            (T, "cross_entropy"), (tf, "quantities_padded"),
-                            (tf, "eventconv_forward_batch")):
-            count(owner, attr)
+        calls = count_calls(monkeypatch, (
+            (tf, "train"), (T.Tensor, "backward"), (T, "adam_step"),
+            (T, "cross_entropy"), (tf, "quantities_padded"),
+            (tf, "eventconv_forward_batch")))
         data = TestTraining.toy_dataset(np.random.default_rng(23), n=24)[0]
         tf.train(data, DenoiseModel(seed=0),
                  TrainConfig(epochs=1, batch_size=8, seed=0))
