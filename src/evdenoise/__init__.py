@@ -14,8 +14,8 @@ from .graph import (EventGraph, GraphNode, NormalizedGraph, RecencyStore,
 from .eventconv import (EventConvParams, QuantitySet, VARIANTS,
                         compute_quantities, eventconv_forward)
 from .transformer import (CheckpointError, DenoiseModel, ModelConfig,
-                          TrainConfig, load_model, predict_stream, save_model,
-                          train)
+                          ModelFilter, TrainConfig, load_model, predict_stream,
+                          save_model, train)
 from .baselines import (DelbruckBAFilter, KhodamoradiFilter, LiuFilter,
                         NNbFilter, YangFilter, make_filter)
 from .kogtl import (ApsFrame, LabelingConfig, canny_edges, icp_align,

@@ -20,30 +20,12 @@ from .graph import VolumeSpec
 from .kogtl import (FrameFormatError, LabelingConfig, kogtl_pipeline,
                     read_frame_dir, write_pgm)
 from .synth import build_training_set, generate, preset_scene
-from .transformer import (CheckpointError, DenoiseModel, SequentialDecider,
-                          TrainConfig, load_model, predict_stream, save_model,
-                          train)
+from .transformer import (CheckpointError, DenoiseModel, ModelFilter,
+                          TrainConfig, load_model, save_model, train)
 
 
-class _ModelFilter:
-    """Adapter exposing the trained model through the baseline filter API."""
-
-    name = "gnnt"
-
-    def __init__(self, model: DenoiseModel, geometry):
-        self.model = model
-        self.geometry = geometry
-        self.reset()
-
-    def reset(self):
-        self._decider = SequentialDecider(self.model, self.geometry)
-
-    def step(self, e):
-        return self._decider.step(e)
-
-    def run_batch(self, stream):
-        decisions, _ = predict_stream(stream, self.model, mode="batch")
-        return decisions
+class UsageError(ValueError):
+    """Raised when a command's arguments or inputs leave it nothing to run."""
 
 
 def _load_run_config(args) -> RunConfig:
@@ -137,8 +119,8 @@ def cmd_train(args) -> int:
 def _build_filter(args, cfg: RunConfig, geometry):
     if args.algo == "gnnt":
         if not args.model:
-            raise SystemExit("--model is required for --algo gnnt")
-        return _ModelFilter(load_model(args.model), geometry)
+            raise UsageError("--model is required for --algo gnnt")
+        return ModelFilter(load_model(args.model), geometry)
     kwargs = {}
     if args.algo == "ba":
         kwargs = {"T_us": cfg.filter_T_us, "k": cfg.ba_k}
@@ -175,6 +157,8 @@ def cmd_eval(args) -> int:
     t, _, _, _, truth = stream.arrays()
     decisions = bench.read_decisions(args.decisions, len(stream))
     keep = (truth >= 0) & (decisions >= 0)
+    if not keep.any():
+        raise UsageError(f"{args.events}: no event is both labeled and decided")
     c = bench.confusion(decisions[keep], truth[keep])
     m = bench.metrics_from_counts(c)
     bench.write_metrics_csv(_out_path(args, "metrics.csv"), [(args.name, c, m)])
@@ -190,9 +174,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
     cfg = _load_run_config(args)
     geometry = cfg.geometry()
     stream = read_events(args.events, geometry=geometry)
+    if len(stream) == 0:
+        raise UsageError(f"{args.events}: no events to time")
     filt = _build_filter(args, cfg, geometry)
     report = bench.time_filter(filt, stream, args.mode,
                                repetitions=args.repetitions)
@@ -296,7 +284,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, EventFormatError, CheckpointError,
-            FrameFormatError, bench.DecisionFileError) as exc:
+            FrameFormatError, bench.DecisionFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

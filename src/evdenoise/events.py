@@ -4,8 +4,8 @@ A stream is five read-only int64 columns in arrival order: t (integer
 microseconds), x, y, p (-1/+1) and label (0 noise, 1 real activity, -1
 unknown).  Whole-stream code reads the columns from `EventStream.arrays()`.
 `Event` is one row, the element that the online paths take one at a time
-(a filter's `step()`, the recency store, the sequential decider); a stream
-builds its tuple of Events the first time it is iterated or indexed.
+(a filter's `step()`, the model's included, and the recency store); a
+stream builds its tuple of Events the first time it is iterated or indexed.
 """
 
 from __future__ import annotations
@@ -186,8 +186,13 @@ def write_events(stream: EventStream, path, format: str = "csv") -> None:
         raise ValueError(f"unknown format {format!r}")
 
 
-def read_events(path, format: str = "csv",
+def read_events(path, format: str = None,
                 geometry: SensorGeometry = None) -> EventStream:
+    """The stream in `path`, checked for time order.  With no format, the
+    file's first bytes pick the reader: BIN_MAGIC is binary, else CSV."""
+    if format is None:
+        with open(path, "rb") as f:
+            format = "bin" if f.read(len(BIN_MAGIC)) == BIN_MAGIC else "csv"
     if format == "csv":
         cols = _read_csv(path)
     elif format in ("bin", "binary"):

@@ -104,6 +104,11 @@ class RecencyStore:
         candidates.sort(key=lambda c: (-c[0], -c[1]))
         return [GraphNode(x, y, t) for t, _, x, y in candidates[: spec.N_max]]
 
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The stored events as (t, x, y) int64 columns in arrival order."""
+        rows = sorted((a, t, x, y) for (x, y), buf in self._cells.items() for t, a in buf)
+        return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4)[:, 1:].T.copy())
+
 
 def build_graph(e: Event, neighbors: List[GraphNode], spec: VolumeSpec) -> EventGraph:
     interest = GraphNode(e.x, e.y, e.t)

@@ -603,64 +603,79 @@ class DenoiseModel:
         return (probs[:, DECISION_REAL] > probs[:, DECISION_NOISE]).astype(np.int64)
 
 
-class SequentialDecider:
-    """Decides one event at a time as it arrives: recency-store query, node
-    features, fast-path classification, then insertion of the event.
+BATCH_ROWS = 4096  # rows per fast-path call; 2048-8192 run equally fast
 
-    The plan is built once, here; make a new decider after the model's
-    weights change.
-    """
+
+class ModelFilter:
+    """The model behind the baseline filters' contract: any split of a
+    time-sorted stream between `step` and `run_batch` decides like one
+    `step` fold.  The state is the RecencyStore `store` after a `step`, and
+    the (t, x, y) columns `tail` of the last T_us of on-sensor events after
+    a `run_batch`; each call rebuilds its form from the other, exactly, as
+    no neighbor is older than T_us and only a pixel's N_max most recent
+    events can be picked.  The plan is built once, here."""
+
+    name = "gnnt"
 
     def __init__(self, model: DenoiseModel, geometry: SensorGeometry):
-        self.model = model
-        self.geometry = geometry
-        self.store = RecencyStore(geometry, capacity=max(1, model.volume.N_max))
+        self.model, self.geometry = model, geometry
         self.plan = InferencePlan(model)
+        self.reset()
+
+    def reset(self) -> None:
+        self.store, self.tail = None, (np.empty(0, dtype=np.int64),) * 3
 
     def step(self, e: Event) -> int:
-        """The decision for `e` (-1 for an out-of-bounds event, which is
-        not stored)."""
+        """The decision for `e`; -1 off the sensor, where nothing is stored."""
         if not self.geometry.contains(e.x, e.y):
             return -1
+        if self.store is None:
+            self.store = RecencyStore(self.geometry, max(1, self.model.volume.N_max))
+            for t, x, y in zip(*(c.tolist() for c in self.tail)):
+                self.store.insert(Event(t, x, y, 1))
         model, spec = self.model, self.model.volume
         feats, mask = node_features_single(e, self.store.query(e, spec), spec)
         decision = int(model.decide(model.classify_padded(feats, mask, self.plan))[0])
         self.store.insert(e)
         return decision
 
+    def run_batch(self, stream: EventStream) -> np.ndarray:
+        """The decisions of the fold `[step(e) for e in stream]`, leaving the
+        state as it would: one batch search and fast-path call per
+        BATCH_ROWS on-sensor rows, over the held events and the block.
+        Raises ValueError where a timestamp goes back, from the last held."""
+        held = self.tail if self.store is None else self.store.columns()
+        m = len(held[0])  # held rows go first; with none, the block's are not copied
+        t, x, y = (np.concatenate(c) if m else c[1] for c in zip(held, stream.arrays()))
+        back = np.flatnonzero(t[max(m, 1):] < t[max(m, 1) - 1: -1])
+        if len(back):
+            i = int(back[0]) + max(m, 1)
+            raise ValueError(f"timestamp regression at index {i - m} "
+                             f"({t[i]} after {t[i - 1]})")
+        g, spec, model = self.geometry, self.model.volume, self.model
+        live = np.flatnonzero((x >= 0) & (x < g.width) & (y >= 0) & (y < g.height))
+        rows = live[np.searchsorted(live, m):]
+        decisions = np.full(len(t) - m, -1, dtype=np.int64)
+        for lo in range(0, len(rows), BATCH_ROWS):
+            chunk = rows[lo: lo + BATCH_ROWS]
+            nbr = batch_neighbor_indices(t, x, y, spec, g, rows=chunk)
+            feats, mask = features_from_batch_indices(t, x, y, nbr, spec, rows=chunk)
+            decisions[chunk - m] = model.decide(model.classify_padded(feats, mask, self.plan))
+        keep = live[live >= np.searchsorted(t, t[-1:] - spec.T_us)]  # t[-1:]: no events, no cut
+        self.store, self.tail = None, (t[keep], x[keep], y[keep])
+        return decisions
+
 
 def predict_stream(stream: EventStream, model: DenoiseModel,
-                   mode: str = "batch",
-                   chunk_size: int = 4096) -> Tuple[np.ndarray, List[int]]:
-    """Per-event real/noise decisions; returns (decisions, skipped_indices).
-
-    Decisions are -1 at skipped (out-of-bounds) events.  Sequential mode
-    folds one event at a time through a SequentialDecider.  Batch mode
-    decides chunk_size in-bounds events at a time: one batch neighbor search
-    and one fast-path call per chunk, so its working memory is one chunk
-    plus the events of the last T_us before it, whatever the stream length.
-    Both build one inference plan and give the same decisions.
-    """
-    # chunk_size bounds the fast path's intermediates (~6 KB per event: the
-    # fused decoder attention holds q, k, v and scores of all its heads at
-    # once); chunks of 2048-8192 events run equally fast
-    n = len(stream)
-    decisions = np.full(n, -1, dtype=np.int64)
-    if mode == "seq":
-        decider = SequentialDecider(model, stream.geometry)
-        for i, e in enumerate(stream):
-            decisions[i] = decider.step(e)
-    elif mode == "batch":
-        plan = InferencePlan(model)
-        spec, geometry = model.volume, stream.geometry
-        t, x, y, _, _ = stream.arrays()
-        live = np.flatnonzero((x >= 0) & (x < geometry.width)
-                              & (y >= 0) & (y < geometry.height))
-        for lo in range(0, len(live), chunk_size):
-            rows = live[lo: lo + chunk_size]
-            nbr = batch_neighbor_indices(t, x, y, spec, geometry, rows=rows)
-            feats, mask = features_from_batch_indices(t, x, y, nbr, spec, rows=rows)
-            decisions[rows] = model.decide(model.classify_padded(feats, mask, plan))
+                   mode: str = "batch") -> Tuple[np.ndarray, List[int]]:
+    """(decisions, skipped_indices), -1 at skipped (off-sensor) events.  Both
+    modes decide through a fresh ModelFilter and agree: `seq` is a `step`
+    fold, `batch` one `run_batch`, in one chunk plus the last T_us of memory."""
+    filt = ModelFilter(model, stream.geometry)
+    if mode == "batch":
+        decisions = filt.run_batch(stream)
+    elif mode == "seq":
+        decisions = np.fromiter(map(filt.step, stream), np.int64, len(stream))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return decisions, [int(i) for i in np.flatnonzero(decisions < 0)]

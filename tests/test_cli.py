@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from evdenoise.cli import _ModelFilter, main
-from evdenoise.events import SensorGeometry, read_events
-from evdenoise.transformer import load_model
+from evdenoise.cli import main
+from evdenoise.events import SensorGeometry, read_events, write_events
+from evdenoise.transformer import ModelFilter, load_model
 
 SCENE = """\
 width = 32
@@ -99,7 +99,7 @@ def test_filter_seq_matches_batch(workspace, algo):
 def test_model_filter_step_fold_matches_run_batch(workspace):
     geometry = SensorGeometry(32, 24)
     stream = read_events(workspace["events"], geometry=geometry)
-    filt = _ModelFilter(load_model(workspace["train"] / "model.ckpt"), geometry)
+    filt = ModelFilter(load_model(workspace["train"] / "model.ckpt"), geometry)
     batch = filt.run_batch(stream)
     for _ in range(2):          # the second fold starts over from reset()
         filt.reset()
@@ -185,7 +185,7 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("label", ["-1", "-5"])
 def test_explicit_negative_label_exits_2(tmp_path, capsys, label):
-    # the CLI reads CSV, where an unknown label is an empty field only
+    # in CSV, an unknown label is an empty field only
     events = tmp_path / "bad.csv"
     events.write_text(f"t_us,x,y,p,label\n0,1,2,1,\n10,1,2,1,{label}\n")
     assert main(["--out-dir", str(tmp_path), "filter", str(events),
@@ -245,3 +245,62 @@ def test_damaged_checkpoint_exits_2(workspace, tmp_path, capsys, damage):
                  "--model", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and damage in err
+
+
+def test_filter_reads_binary_stream(workspace, tmp_path):
+    # with no format given, the reader is picked by the file's magic bytes
+    binary = tmp_path / "events.bin"
+    write_events(read_events(workspace["events"]), binary, format="bin")
+    decisions = {}
+    for name, path in (("csv", workspace["events"]), ("bin", binary)):
+        out = tmp_path / name
+        assert main(["--config", str(workspace["cfg"]), "--out-dir", str(out),
+                     "filter", str(path), "--algo", "gnnt",
+                     "--model", str(workspace["train"] / "model.ckpt")]) == 0
+        decisions[name] = (out / "decisions.txt").read_bytes()
+    assert decisions["bin"] == decisions["csv"]
+
+
+def error_line(capsys) -> str:
+    """The one line a failed command printed, which must be an error."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["filter", "bench"])
+def test_gnnt_without_model_exits_2(workspace, tmp_path, capsys, command):
+    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(tmp_path),
+                 command, str(workspace["events"]), "--algo", "gnnt"]) == 2
+    assert "--model" in error_line(capsys)
+
+
+def test_bench_empty_stream_exits_2(tmp_path, capsys):
+    events = tmp_path / "empty.csv"
+    events.write_text("t_us,x,y,p,label\n")
+    assert main(["--out-dir", str(tmp_path), "bench", str(events),
+                 "--algo", "nnb"]) == 2
+    err = error_line(capsys)
+    assert str(events) in err and "no events" in err
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-3"])
+def test_bench_repetitions_below_one_exits_2(workspace, tmp_path, capsys,
+                                              repetitions):
+    assert main(["--config", str(workspace["cfg"]), "--out-dir", str(tmp_path),
+                 "bench", str(workspace["events"]), "--algo", "nnb",
+                 "--repetitions", repetitions]) == 2
+    assert f"--repetitions must be >= 1, got {repetitions}" in error_line(capsys)
+
+
+def test_eval_without_scored_events_exits_2(tmp_path, capsys):
+    # unlabeled events, and the one labeled event was skipped (-1)
+    events = tmp_path / "events.csv"
+    events.write_text("t_us,x,y,p,label\n0,1,2,1,\n10,1,2,1,1\n20,3,2,1,\n")
+    decisions = tmp_path / "decisions.txt"
+    decisions.write_text("1\n-1\n0\n")
+    assert main(["--out-dir", str(tmp_path), "eval", str(events),
+                 str(decisions)]) == 2
+    err = error_line(capsys)
+    assert str(events) in err and "no event is both labeled and decided" in err
+    assert not (tmp_path / "metrics.csv").exists()

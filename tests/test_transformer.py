@@ -1,14 +1,18 @@
 """Transformer classifier: attention invariants, forward-path agreement,
 training, checkpoints, and streaming prediction."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evdenoise.nn.tensor as T
 import evdenoise.transformer as tf
-from evdenoise.events import Event, EventStream, SensorGeometry
+from evdenoise.events import (Event, EventStream, SensorGeometry,
+                              stream_from_arrays)
 from evdenoise.eventconv import (QuantitySet, compute_quantities,
                                  eventconv_forward, eventconv_forward_batch,
                                  quantities_padded)
@@ -16,7 +20,8 @@ from evdenoise.graph import NormalizedGraph, VolumeSpec
 from evdenoise.nn.tensor import Parameter, Tensor, finite_diff_check
 from evdenoise.synth import TrainingSet, generate, preset_scene
 from evdenoise.transformer import (CheckpointError, DenoiseModel, MHAParams,
-                                   ModelConfig, TrainConfig, TrainingPlan,
+                                   ModelConfig, ModelFilter, TrainConfig,
+                                   TrainingPlan,
                                    attention, decoder_forward,
                                    encoder_forward, load_model, multi_head,
                                    predict_stream, prenorm_attention,
@@ -207,6 +212,72 @@ class TestForwardPaths:
         assert err < 1e-4
 
 
+def decide_in_blocks(filt, stream, size):
+    """One run_batch per successive block of `size` events of `stream`."""
+    cols = stream.arrays()
+    return np.concatenate([
+        filt.run_batch(stream_from_arrays(*(c[lo: lo + size] for c in cols),
+                                          geometry=stream.geometry))
+        for lo in range(0, len(stream), size)])
+
+
+SPLIT_GEOM = SensorGeometry(4, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def split_model(n_max):
+    """A small perturbed random-weight model with a neighbor cap of n_max,
+    whose 3x3 window covers most of SPLIT_GEOM."""
+    model = DenoiseModel(volume=VolumeSpec(L=1, T_us=3000, N_max=n_max),
+                         heads=1, enc_layers=1, dec_layers=1, seed=n_max)
+    perturb(model, np.random.default_rng(n_max))
+    return model
+
+
+@st.composite
+def sorted_events(draw, t0=0):
+    """Time-sorted events of SPLIT_GEOM: equal timestamps and gaps of
+    exactly T_us are common, a None position repeats the last one (bursts
+    at one pixel), and about one position in five is just off an edge."""
+    W, H = SPLIT_GEOM.width, SPLIT_GEOM.height
+    on = st.tuples(st.integers(0, W - 1), st.integers(0, H - 1))
+    off = st.sampled_from([(-1, 1), (W, 1), (1, -1), (1, H)])
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from([0, 0, 1, 500, 1000, 1500, 3000]),
+        st.one_of(st.none(), on, on, on, off), st.sampled_from([-1, 1])),
+        max_size=40))
+    events, t, xy = [], t0, (0, 0)
+    for step, pos, p in rows:
+        t, xy = t + step, pos or xy
+        events.append(Event(t, *xy, p))
+    return events
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_batch_equals_step_fold_property(data):
+    # the baseline filters' property test, for the model: step, run_batch,
+    # step, run_batch, run_batch over one stream decide like one step fold
+    model = split_model(data.draw(st.integers(0, 4)))
+    events = data.draw(sorted_events())
+    cuts = [0, *sorted(data.draw(st.lists(st.integers(0, len(events)),
+                                          min_size=4, max_size=4))), len(events)]
+    ref = ModelFilter(model, SPLIT_GEOM)
+    want = [ref.step(e) for e in events]
+    filt = ModelFilter(model, SPLIT_GEOM)
+    got = []
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if k in (0, 2):
+            got += [filt.step(e) for e in events[a:b]]
+        else:
+            got += filt.run_batch(EventStream(events[a:b], SPLIT_GEOM)).tolist()
+    assert got == want
+    # the same state: both decide one more stream alike
+    suffix = EventStream(data.draw(sorted_events(events[-1].t if events else 0)),
+                         SPLIT_GEOM)
+    assert filt.run_batch(suffix).tolist() == ref.run_batch(suffix).tolist()
+
+
 class TestPredictStream:
     def test_seq_equals_batch_bitwise(self):
         rng = np.random.default_rng(9)
@@ -218,12 +289,14 @@ class TestPredictStream:
         assert s_seq == s_batch
 
     def test_chunk_size_does_not_change_decisions(self):
+        # run_batch over blocks of any size decides as over the whole stream
         rng = np.random.default_rng(10)
         model = DenoiseModel(seed=6)
         stream = random_stream(rng, 300)
-        d1, _ = predict_stream(stream, model, mode="batch", chunk_size=7)
-        d2, _ = predict_stream(stream, model, mode="batch", chunk_size=300)
-        assert np.array_equal(d1, d2)
+        d2, _ = predict_stream(stream, model, mode="batch")
+        for block in (1, 7, 4096):
+            d1 = decide_in_blocks(ModelFilter(model, stream.geometry), stream, block)
+            assert np.array_equal(d1, d2)
 
     def test_chunks_within_the_time_window_equal_seq(self):
         # ~40 events per T_us window on a small sensor, so a window spans
@@ -240,10 +313,51 @@ class TestPredictStream:
         d_seq, s_seq = predict_stream(stream, model, mode="seq")
         assert s_seq == [3, 100, 101, 377]
         assert 0 < d_seq[d_seq >= 0].mean() < 1
-        for chunk in (1, 7, 4096):
-            d, s = predict_stream(stream, model, mode="batch", chunk_size=chunk)
+        for block in (1, 7, 4096):
+            d = decide_in_blocks(ModelFilter(model, geom), stream, block)
+            s = [int(i) for i in np.flatnonzero(d < 0)]
             np.testing.assert_array_equal(d, d_seq)
             assert s == s_seq
+
+    def test_run_batch_rejects_timestamp_regression(self):
+        # a shuffled stream would be decided against neighbors from its
+        # future; batch mode names the first step back in time instead
+        rng = np.random.default_rng(17)
+        geom = SensorGeometry(10, 8)
+        events = list(random_stream(rng, 300, geom=geom, t_max=100_000))
+        shuffled = [events[i] for i in rng.permutation(len(events))]
+        t = np.array([e.t for e in shuffled])
+        i = int(np.flatnonzero(t[1:] < t[:-1])[0]) + 1
+        model = DenoiseModel(seed=0)
+        with pytest.raises(ValueError, match=f"timestamp regression at index {i} "
+                                             f"\\({t[i]} after {t[i - 1]}\\)"):
+            predict_stream(EventStream(shuffled, geom), model, mode="batch")
+        # from the held events' last timestamp to the block's first, whether
+        # run_batch or step saw them
+        for first in ("run_batch", "step"):
+            filt = ModelFilter(model, geom)
+            if first == "step":
+                [filt.step(e) for e in events[:200]]
+            else:
+                filt.run_batch(EventStream(events[:200], geom))
+            late = EventStream([Event(events[199].t - 1, 1, 1, 1)], geom)
+            with pytest.raises(ValueError, match="regression at index 0 "):
+                filt.run_batch(late)
+
+    def test_run_batch_holds_only_the_last_time_window(self):
+        rng = np.random.default_rng(18)
+        geom = SensorGeometry(10, 8)
+        spec = VolumeSpec(L=2, T_us=20_000, N_max=6)
+        stream = random_stream(rng, 1000, geom=geom, t_max=500_000)
+        t = stream.arrays()[0]
+        filt = ModelFilter(DenoiseModel(volume=spec, seed=0), geom)
+        for block in np.array_split(np.arange(len(stream)), 50):
+            filt.run_batch(stream_from_arrays(*(c[block] for c in stream.arrays()),
+                                              geometry=geom))
+            last = t[block[-1]]
+            held = filt.tail[0]
+            assert len(held) <= np.count_nonzero(t[: block[-1] + 1] >= last - spec.T_us)
+            assert np.all(held >= last - spec.T_us)
 
     def test_out_of_bounds_skipped(self):
         model = DenoiseModel(seed=0)
