@@ -6,7 +6,9 @@ stream in one vectorized pass, exactly as a fold of `step` would.
 
 All window comparisons use the strict past [t - T, t) except the Yang
 density count, which includes the arriving event itself.  An event outside
-the sensor is decided -1 and leaves the filter's state untouched.
+the sensor is decided -1 and leaves the filter's state untouched.  Every
+run_batch finds the earlier writes to each cell of an event's window in a
+graph.WriteLog, the write index behind the model's batch neighbor search.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .events import Event, EventStream, SensorGeometry
+from .graph import WriteLog, window_offsets
 
 DECISION_SKIPPED = -1
 DECISION_NOISE = 0
@@ -62,50 +65,14 @@ class BaseFilter:
         raise NotImplementedError
 
 
-class _WriteLog:
-    """Every write a per-cell memory takes over a stream, in arrival order:
-    one for each cell the memory already holds, then one per event.
-
-    A stable sort by cell id keeps each cell's writes in arrival order (the
-    layout of graph.batch_neighbor_indices), so one searchsorted answers
-    "which write to cell c came last before event i" for every event at once.
-    No time sort is needed: a memory cell holds its last write by arrival.
-    Per-event arrays are in the log's event order (grouped by cell, each
-    cell's in arrival order): there, every window offset's queries are sorted,
-    which keeps searchsorted cache-friendly.
-    """
-
-    def __init__(self, held: np.ndarray, cells: np.ndarray):
-        ids = np.concatenate([held, cells])
-        self.n = np.int64(max(len(ids), 1))
-        self.order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[self.order]
-        self.key = sorted_ids * self.n + self.order
-        at = np.flatnonzero(self.order >= len(held))   # the events' places
-        self.write = self.order[at]                    # their write indices
-        self.event = self.write - len(held)            # their stream indices
-        self.cell_key = sorted_ids[at] * self.n        # their cells, as keys
-        ends = np.flatnonzero(np.diff(sorted_ids, append=-1))
-        self.final_cells, self.final = sorted_ids[ends], self.order[ends]
-
-    def last_before(self, delta: int, valid: np.ndarray) -> np.ndarray:
-        """Per event, the index of the last write before it to the cell
-        `delta` ids past its own; -1 where there is none or valid is false."""
-        q = self.cell_key + delta * self.n
-        pos = np.searchsorted(self.key, q + self.write) - 1
-        hit = valid & (pos >= 0) & (self.key[pos] >= q)
-        return np.where(hit, self.order[pos], -1)
-
-
-def _window(cx, cy, shape, rx: int, ry: int):
-    """(dx, dy, cell id shift, in-grid mask) of every offset of the window
-    [cx - rx, cx + rx] x [cy - ry, cy + ry] on a (w, h) grid of x * h + y
-    cell ids, one offset at a time."""
-    w, h = shape
-    for dx in range(-rx, rx + 1):
-        in_x = (cx + dx >= 0) & (cx + dx < w)
-        for dy in range(-ry, ry + 1):
-            yield dx, dy, dx * h + dy, in_x & (cy + dy >= 0) & (cy + dy < h)
+def _write_log(held: np.ndarray, cells: np.ndarray):
+    """The WriteLog of a cell memory (a write per held cell, then one per
+    event; a cell holds its last write by arrival, so no time sort) and
+    the events' write indices, stream indices and cell keys in the log's
+    order, where each offset's queries are sorted for searchsorted."""
+    log = WriteLog(np.concatenate([held, cells]))
+    write = log.order[log.order >= len(held)]
+    return log, write, write - len(held), cells[write - len(held)] * log.n
 
 
 def _map_hits(stamps: np.ndarray, cx, cy, t, T_us: int, radius: Tuple[int, int],
@@ -117,24 +84,24 @@ def _map_hits(stamps: np.ndarray, cx, cy, t, T_us: int, radius: Tuple[int, int],
     event's write, as after the step fold.
     """
     held = np.flatnonzero(stamps > -np.inf)
-    log = _WriteLog(held, cx * stamps.shape[1] + cy)
+    log, write, e, key = _write_log(held, cx * stamps.shape[1] + cy)
     # index -1 (no earlier write) reads the trailing empty cell
     written = np.concatenate([stamps.ravel()[held], t, [-np.inf]])
     if pols is not None:
         written_p = np.concatenate([pols.ravel()[held], p, [0]])
-    e = log.event
     # float64 like the memory itself, so bounds compare as in step
-    lo, hi = (t[e] - T_us).astype(np.float64), written[log.write]
+    lo, hi = (t[e] - T_us).astype(np.float64), written[write]
     hits = np.zeros(len(t), dtype=np.int64)
-    for _, _, delta, valid in _window(cx[e], cy[e], stamps.shape, *radius):
-        j = log.last_before(delta, valid)
+    for delta, valid in window_offsets(cx[e], cy[e], stamps.shape, *radius):
+        j = log.last(key + delta * log.n, write, valid)
         ok = (written[j] >= lo) & (written[j] < hi)
         if match:
             ok &= written_p[j] == p[e]
         hits += ok
-    np.put(stamps, log.final_cells, written[log.final])
+    cells, last = log.final()
+    np.put(stamps, cells, written[last])
     if pols is not None:
-        np.put(pols, log.final_cells, written_p[log.final])
+        np.put(pols, cells, written_p[last])
     out = np.empty_like(hits)
     out[e] = hits
     return out
@@ -338,19 +305,12 @@ class YangFilter(BaseFilter):
                             dtype=np.int64)
 
         m, L, hot_us = len(held), self.L, self.hot_window_us
-        log = _WriteLog(held[:, 0], x * H + y)
-        key, n, e = log.key, log.n, log.event
+        log, write, e, key = _write_log(held[:, 0], x * H + y)
 
         def first_at(ts):
             """Index of the first write at or after each event's time in
             `ts` (given in arrival order, returned in log order)."""
             return np.searchsorted(times, ts)[e]
-
-        def count(base, a_from, a_to):
-            """Writes to the cells whose keys are `base` with write index
-            in [a_from, a_to)."""
-            return (np.searchsorted(key, base + a_to)
-                    - np.searchsorted(key, base + a_from))
 
         # a neighbor's deque holds its writes in [t - T, t); with T longer
         # than the hot window, only those no older than hot_window before
@@ -359,42 +319,43 @@ class YangFilter(BaseFilter):
         a_hot = first_at(t - hot_us)
         xe, ye = x[e], y[e]
         support = np.zeros(len(t), dtype=np.int64)
-        for dx, dy, delta, valid in _window(xe, ye, (W, H), L, L):
-            if dx == dy == 0:
+        for delta, valid in window_offsets(xe, ye, (W, H), L, L):
+            if delta == 0:
                 continue
             a_from = a_support
             if self.T_us > hot_us:
-                j = log.last_before(delta, valid)
+                j = log.last(key + delta * log.n, write, valid)
                 pruned = np.searchsorted(times, times[j] - hot_us)
                 a_from = np.where(j >= m, np.maximum(a_support, pruned),
                                   a_support)
-            support += np.where(valid, count(log.cell_key + delta * n, a_from, a_t), 0)
+            support += np.where(valid, log.count(key + delta * log.n, a_from, a_t), 0)
 
         # own rate: the pixel's earlier writes no older than the hot window
-        own_rate = count(log.cell_key, a_hot, log.write) + 1
+        own_rate = log.count(key, a_hot, write) + 1
         cand = np.flatnonzero(own_rate >= self.hot_count)
         nbhd = np.zeros(len(cand), dtype=np.int64)
-        for dx, dy, delta, valid in _window(xe[cand], ye[cand], (W, H), L, L):
-            if dx != 0 or dy != 0:
-                nbhd += np.where(valid, count(log.cell_key[cand] + delta * n,
-                                              a_hot[cand], a_t[cand]), 0)
+        for delta, valid in window_offsets(xe[cand], ye[cand], (W, H), L, L):
+            if delta != 0:
+                nbhd += np.where(valid, log.count(key[cand] + delta * log.n,
+                                                  a_hot[cand], a_t[cand]), 0)
         trig = cand[nbhd < self.hot_support]
         # a pixel is hot from its first trigger on, that event included
         cells = xe * H + ye
         first_hot = np.full(W * H, len(times), dtype=np.int64)
-        np.minimum.at(first_hot, cells[trig], log.write[trig])
+        np.minimum.at(first_hot, cells[trig], write[trig])
         first_hot[[px * H + py for px, py in self.hot]] = -1
         decisions = np.empty(len(t), dtype=np.int64)
-        decisions[e] = (support + 1 >= self.density) & (log.write < first_hot[cells])
+        decisions[e] = (support + 1 >= self.density) & (write < first_hot[cells])
 
         self.hot.update(divmod(c, H) for c in np.unique(cells[trig]).tolist())
         # each pixel that fired keeps its writes no older than hot_window
         # before its last one
-        fired = log.final >= m
-        c, last = log.final_cells[fired], log.final[fired]
+        c, last = log.final()
+        fired = last >= m
+        c, last = c[fired], last[fired]
         kept = np.searchsorted(times, times[last] - hot_us)
-        start = np.searchsorted(key, c * n + kept)
-        stop = np.searchsorted(key, (c + 1) * n)
+        start = np.searchsorted(log.key, c * log.n + kept)
+        stop = np.searchsorted(log.key, (c + 1) * log.n)
         by_cell = times[log.order].tolist()
         for px, py, a, b in zip((c // H).tolist(), (c % H).tolist(),
                                 start.tolist(), stop.tolist()):

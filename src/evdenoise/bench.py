@@ -127,6 +127,8 @@ def time_filter(filt, stream: EventStream, mode: str,
     timings are excluded in sequential mode.  Sequential and batch decisions
     are asserted equal.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if len(stream) == 0:
         raise ValueError("empty stream")
     warmup = min(warmup, max(0, len(stream) - 1))

@@ -5,7 +5,9 @@ Each event's input graph is the <= N_max most recent events inside its
 batch search over any rows of a time-sorted stream (training and batch
 prediction), and a per-pixel recency store queried one arriving event at a
 time (sequential prediction).  Graph objects and the brute-force scan are
-the independent oracle both are tested against.
+the independent oracle both are tested against.  The batch search asks its
+causal question, which earlier events landed on each cell of a window, of a
+WriteLog, the write index every baseline filter's run_batch also queries.
 """
 
 from __future__ import annotations
@@ -168,6 +170,54 @@ def brute_force_neighbors(stream_arrays, i: int, spec: VolumeSpec,
     return [GraphNode(int(x[j]), int(y[j]), int(t[j])) for j in order]
 
 
+class WriteLog:
+    """Writes to per-cell memory in arrival order, write i to `cells[i]`.
+
+    A stable sort by cell id keeps each cell's writes in arrival order; the
+    key `cell * n + i` orders them by (cell, arrival), so one searchsorted
+    answers a query for every cell at once.  Queries name cells by `cell * n`.
+    """
+
+    def __init__(self, cells: np.ndarray):
+        self.n = np.int64(max(len(cells), 1))
+        self.order = np.argsort(cells, kind="stable")
+        self.key = cells[self.order] * self.n + self.order
+
+    def last(self, key, before, valid, depth: int = None) -> np.ndarray:
+        """Per query, the most recent write to its cell before write
+        `before`, or with `depth` a (depth, len(key)) array of the `depth`
+        most recent, newest first; -1 where there are fewer or `valid` is
+        false."""
+        pos = np.searchsorted(self.key, key + before) - 1
+        if depth is not None:
+            pos = pos - np.arange(depth)[:, None]
+        # a position before the cell's run holds another cell's key
+        hit = valid & (pos >= 0) & (self.key.take(pos, mode="clip") >= key)
+        return np.where(hit, self.order.take(pos, mode="clip"), -1)
+
+    def count(self, key, lo, hi) -> np.ndarray:
+        """Per query, the writes to its cell with write index in [lo, hi)."""
+        return np.searchsorted(self.key, key + hi) - np.searchsorted(self.key, key + lo)
+
+    def final(self):
+        """(cells, write indices): the last write to every written cell."""
+        cells = self.key // self.n
+        ends = np.flatnonzero(np.diff(cells, append=-1))
+        return cells[ends], self.order[ends]
+
+
+def window_offsets(cx, cy, shape, rx: int, ry: int):
+    """(cell id shift, in-grid mask) of every offset of the window
+    [cx - rx, cx + rx] x [cy - ry, cy + ry] on a (w, h) grid of x * h + y
+    cell ids, one offset at a time; from an in-grid centre, no other
+    in-grid offset shifts by 0."""
+    w, h = shape
+    for dx in range(-rx, rx + 1):
+        in_x = (cx + dx >= 0) & (cx + dx < w)
+        for dy in range(-ry, ry + 1):
+            yield dx * h + dy, in_x & (cy + dy >= 0) & (cy + dy < h)
+
+
 def batch_neighbor_indices(t: np.ndarray, x: np.ndarray, y: np.ndarray,
                            spec: VolumeSpec, geometry: SensorGeometry,
                            rows=None) -> np.ndarray:
@@ -183,60 +233,36 @@ def batch_neighbor_indices(t: np.ndarray, x: np.ndarray, y: np.ndarray,
     """
     cap = spec.N_max
     rows = np.arange(len(t)) if rows is None else np.asarray(rows, dtype=np.int64)
-    out = np.full((len(rows), cap), -1, dtype=np.int64)
     if len(rows) == 0 or cap == 0:
-        return out
+        return np.full((len(rows), cap), -1, dtype=np.int64)
     base = int(np.searchsorted(t, t[rows.min()] - spec.T_us, side="left"))
     end = int(rows.max()) + 1
     t, x, y = t[base:end], x[base:end], y[base:end]
     q = rows - base                      # the rows' positions in the window
-    n = len(t)
     W, H = geometry.width, geometry.height
 
+    # the window's events as writes to their pixels; out-of-bounds events go
+    # past the last pixel, where no query looks
     in_bounds = (x >= 0) & (x < W) & (y >= 0) & (y < H)
-    # sort the window by (pixel id, arrival index); same-pixel runs stay in
-    # arrival order, which is also time order for a sorted stream.
-    # Out-of-bounds events go past the last pixel, where no query looks
-    pix = np.where(in_bounds, x * H + y, W * H)
-    order = np.argsort(pix, kind="stable")
-    sorted_pix = pix[order]
-    sorted_key = sorted_pix * np.int64(n) + order
-    # first occurrence of every pixel id in the sorted layout
-    run_start = np.searchsorted(sorted_pix, np.arange(W * H, dtype=np.int64))
-
+    log = WriteLog(np.where(in_bounds, x * H + y, W * H))
     xq, yq, live = x[q], y[q], in_bounds[q]
-    span = 2 * spec.L + 1
-    cand = np.full((len(q), span * span * cap), -1, dtype=np.int32)
-    col = 0
-    ks = np.arange(cap)[:, None]
-    for dx in range(-spec.L, spec.L + 1):
-        for dy in range(-spec.L, spec.L + 1):
-            valid = live & (xq + dx >= 0) & (xq + dx < W) \
-                & (yq + dy >= 0) & (yq + dy < H)
-            qpix = np.where(valid, (xq + dx) * H + (yq + dy), 0)
-            # events at pixel qpix with arrival index < q live in
-            # [run_start[qpix], hi); take the last up-to-cap of them
-            hi = np.searchsorted(sorted_key, qpix * np.int64(n) + q)
-            lo = run_start[qpix]
-            pos = hi[None, :] - 1 - ks                      # (cap, rows)
-            ok = valid[None, :] & (pos >= lo[None, :])
-            cand[:, col: col + cap] = \
-                np.where(ok, order[np.clip(pos, 0, n - 1)], -1).T
-            col += cap
+    key = (xq * H + yq) * log.n
+    cand = np.full((len(q), (2 * spec.L + 1) ** 2 * cap), -1, dtype=np.int32)
+    for col, (delta, valid) in enumerate(window_offsets(xq, yq, (W, H),
+                                                        spec.L, spec.L)):
+        # the last up-to-cap events at the pixel with arrival index < q
+        cand[:, col * cap: (col + 1) * cap] = \
+            log.last(key + delta * log.n, q, valid & live, cap).T
 
     # rank by (t desc, arrival desc); arrival index is the tiebreak so keeping
     # the cap largest candidate indices is exact for a time-sorted stream
-    if cand.shape[1] > cap:
-        part = np.argpartition(-cand, cap - 1, axis=1)[:, :cap]
-        top = np.take_along_axis(cand, part, axis=1)
-    else:
-        top = cand
+    part = np.argpartition(-cand, cap - 1, axis=1)[:, :cap]
+    top = np.take_along_axis(cand, part, axis=1)
     top = np.take_along_axis(top, np.argsort(-top, axis=1, kind="stable"), axis=1)
     # the stream is time-sorted, so the temporal window is an index cutoff:
     # candidates older than t - T form a suffix of each descending row
-    keep = (top >= 0) & (t[np.clip(top, 0, n - 1)] >= (t[q] - spec.T_us)[:, None])
-    out[:, : top.shape[1]] = np.where(keep, top.astype(np.int64) + base, -1)
-    return out
+    keep = (top >= 0) & (t[np.maximum(top, 0)] >= (t[q] - spec.T_us)[:, None])
+    return np.where(keep, top.astype(np.int64) + base, -1)
 
 
 def padded_node_features(nodes: np.ndarray, nmask: np.ndarray, spec: VolumeSpec):

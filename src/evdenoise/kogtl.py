@@ -21,7 +21,6 @@ from .events import EventStream, LABEL_NOISE, LABEL_REAL, stream_from_arrays
 class ApsFrame:
     image: np.ndarray               # (height, width) uint8 grayscale
     t_us: int
-    pose_tag: str = ""
 
 
 @dataclass
@@ -39,15 +38,17 @@ class IcpResult:
     converged: bool
 
 
+CANNY_SIGMA = 1.4
+CANNY_LOW = 0.10                     # hysteresis thresholds as fractions of
+CANNY_HIGH = 0.30                    # the max gradient magnitude
+ICP_MAX_ITER = 50
+ICP_TOL = 0.01                       # convergence tolerance in pixels
+ICP_SEARCH_PX = 8                    # integer-shift coarse search radius
+
+
 @dataclass(frozen=True)
 class LabelingConfig:
     B: int = 2                       # edge proximity window in pixels
-    canny_sigma: float = 1.4
-    canny_low: float = 0.10          # hysteresis thresholds as fractions of
-    canny_high: float = 0.30         # the max gradient magnitude
-    icp_max_iter: int = 50
-    icp_tol: float = 0.01            # convergence tolerance in pixels
-    icp_search_px: int = 8           # integer-shift coarse search radius
     start_offset_us: int = 0         # subtracted from event timestamps
 
     def __post_init__(self):
@@ -75,12 +76,11 @@ def synchronize(events: EventStream, frames: Sequence[ApsFrame],
     return batches, pre_batch
 
 
-def canny_edges(frame: ApsFrame, config: LabelingConfig = None) -> EdgeMap:
+def canny_edges(frame: ApsFrame) -> EdgeMap:
     """Classic Canny: Gaussian blur, Sobel gradients, non-maximum
     suppression, double threshold, hysteresis.  Deterministic."""
-    config = config or LabelingConfig()
     img = frame.image.astype(np.float64)
-    blurred = ndimage.gaussian_filter(img, sigma=config.canny_sigma)
+    blurred = ndimage.gaussian_filter(img, sigma=CANNY_SIGMA)
     gx = ndimage.sobel(blurred, axis=1)
     gy = ndimage.sobel(blurred, axis=0)
     mag = np.hypot(gx, gy)
@@ -108,8 +108,8 @@ def canny_edges(frame: ApsFrame, config: LabelingConfig = None) -> EdgeMap:
     keep |= diag2 & (mag > shifted(-1, 1)) & (mag >= shifted(1, -1))
     nms = np.where(keep, mag, 0.0)
 
-    strong = nms >= config.canny_high * peak
-    weak = nms >= config.canny_low * peak
+    strong = nms >= CANNY_HIGH * peak
+    weak = nms >= CANNY_LOW * peak
     labels, n = ndimage.label(weak, structure=np.ones((3, 3)))
     if n == 0:
         return EdgeMap(np.zeros_like(mag, dtype=bool), frame.t_us)
@@ -120,8 +120,7 @@ def canny_edges(frame: ApsFrame, config: LabelingConfig = None) -> EdgeMap:
     return EdgeMap(lut[labels], frame.t_us)
 
 
-def icp_align(points: np.ndarray, edges: EdgeMap,
-              config: LabelingConfig = None) -> IcpResult:
+def icp_align(points: np.ndarray, edges: EdgeMap) -> IcpResult:
     """Translation-only 2-D ICP of event pixels onto the edge set.
 
     points: (n, 2) array of (x, y).  A coarse integer-shift grid search over
@@ -132,7 +131,6 @@ def icp_align(points: np.ndarray, edges: EdgeMap,
     refinement inside the sub-pixel regime where tangential sliding along
     discrete edge pixels cannot bias the mean.
     """
-    config = config or LabelingConfig()
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         raise ValueError("empty point set")
@@ -144,7 +142,7 @@ def icp_align(points: np.ndarray, edges: EdgeMap,
     tree = cKDTree(edge_xy)
 
     dist = ndimage.distance_transform_edt(~edges.mask)
-    R = config.icp_search_px
+    R = ICP_SEARCH_PX
     best = (np.inf, 0, 0)
     px = points[:, 0]
     py = points[:, 1]
@@ -163,7 +161,7 @@ def icp_align(points: np.ndarray, edges: EdgeMap,
     residual = np.inf
     iterations = 0
     converged = False
-    for iterations in range(1, config.icp_max_iter + 1):
+    for iterations in range(1, ICP_MAX_ITER + 1):
         shifted = points + (dx, dy)
         _, nearest = tree.query(shifted)
         off_x = edge_xy[nearest, 0] - shifted[:, 0]
@@ -172,7 +170,7 @@ def icp_align(points: np.ndarray, edges: EdgeMap,
         step_x, step_y = off_x.mean(), off_y.mean()
         dx += step_x
         dy += step_y
-        if np.hypot(step_x, step_y) < config.icp_tol:
+        if np.hypot(step_x, step_y) < ICP_TOL:
             converged = True
             break
     return IcpResult(dx, dy, residual, iterations, converged)
@@ -214,12 +212,12 @@ def kogtl_pipeline(events: EventStream, frames: Sequence[ApsFrame],
         if not len(batch):
             reports.append(None)
             continue
-        edges = canny_edges(frame, config)
+        edges = canny_edges(frame)
         if not edges.mask.any():
             reports.append(None)
             continue
         bx, by = x[batch], y[batch]
-        icp = icp_align(np.stack([bx, by], axis=1), edges, config)
+        icp = icp_align(np.stack([bx, by], axis=1), edges)
         reports.append(icp)
         labels[batch] = label_events(bx, by, edges, (icp.dx, icp.dy), config.B)
     return stream_from_arrays(t, x, y, p, labels, events.geometry), reports
@@ -239,7 +237,7 @@ class FrameFormatError(ValueError):
     frames."""
 
 
-def read_pgm(path, t_us: int = None, pose_tag: str = "") -> ApsFrame:
+def read_pgm(path, t_us: int = None) -> ApsFrame:
     with open(path, "rb") as f:
         data = f.read()
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
@@ -256,7 +254,7 @@ def read_pgm(path, t_us: int = None, pose_tag: str = "") -> ApsFrame:
         stem = os.path.splitext(os.path.basename(path))[0]
         digits = re.findall(r"\d+", stem)
         t_us = int(digits[-1]) if digits else 0
-    return ApsFrame(pixels.reshape(h, w).copy(), t_us, pose_tag)
+    return ApsFrame(pixels.reshape(h, w).copy(), t_us)
 
 
 def read_frame_dir(dirpath) -> List[ApsFrame]:

@@ -162,10 +162,8 @@ def generate(scene: SceneSpec) -> GeneratedDataset:
 
 
 def render_frames(scene: SceneSpec) -> List[ApsFrame]:
-    frames = []
-    for t_us in range(0, scene.duration_us + 1, scene.frame_period_us):
-        frames.append(ApsFrame(render_frame(scene, t_us), t_us, pose_tag=f"f{len(frames)}"))
-    return frames
+    return [ApsFrame(render_frame(scene, t_us), t_us)
+            for t_us in range(0, scene.duration_us + 1, scene.frame_period_us)]
 
 
 def render_frame(scene: SceneSpec, t_us: int) -> np.ndarray:

@@ -644,7 +644,11 @@ class ModelFilter:
         state as it would: one batch search and fast-path call per
         BATCH_ROWS on-sensor rows, over the held events and the block.
         Raises ValueError where a timestamp goes back, from the last held."""
+        g, spec, model = self.geometry, self.model.volume, self.model
         held = self.tail if self.store is None else self.store.columns()
+        # no neighbor is older than T_us, so a held row older than T_us
+        # before the last held one is no block event's neighbor
+        held = tuple(c[held[0] >= held[0][-1:] - spec.T_us] for c in held)
         m = len(held[0])  # held rows go first; with none, the block's are not copied
         t, x, y = (np.concatenate(c) if m else c[1] for c in zip(held, stream.arrays()))
         back = np.flatnonzero(t[max(m, 1):] < t[max(m, 1) - 1: -1])
@@ -652,7 +656,6 @@ class ModelFilter:
             i = int(back[0]) + max(m, 1)
             raise ValueError(f"timestamp regression at index {i - m} "
                              f"({t[i]} after {t[i - 1]})")
-        g, spec, model = self.geometry, self.model.volume, self.model
         live = np.flatnonzero((x >= 0) & (x < g.width) & (y >= 0) & (y < g.height))
         rows = live[np.searchsorted(live, m):]
         decisions = np.full(len(t) - m, -1, dtype=np.int64)
@@ -687,9 +690,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 30
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def train(dataset: TrainingSet, model: DenoiseModel,
@@ -710,7 +710,7 @@ def train(dataset: TrainingSet, model: DenoiseModel,
     mask = dataset.mask
     Qpad = quantities_padded(dataset.feats, mask)
     plan = TrainingPlan(model)
-    state = AdamState(model.buffer, config.beta1, config.beta2, config.eps)
+    state = AdamState(model.buffer)
     rng = np.random.default_rng(config.seed)
     history: List[float] = []
     for _ in range(config.epochs):

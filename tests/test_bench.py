@@ -121,6 +121,15 @@ class TestTiming:
             time_filter(NNbFilter(SensorGeometry(4, 4)),
                         EventStream([], SensorGeometry(4, 4)), "seq")
 
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_below_one_rejected_before_any_work(self, repetitions):
+        filt = NNbFilter(SensorGeometry(16, 16))
+        calls = []
+        filt.reset = filt.run_batch = filt.step = lambda *a: calls.append(a)
+        with pytest.raises(ValueError, match="repetitions"):
+            time_filter(filt, self.tiny_stream(50), "batch", repetitions=repetitions)
+        assert calls == []
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             time_filter(NNbFilter(SensorGeometry(16, 16)),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdenoise.events import Event, EventStream, SensorGeometry
-from evdenoise.graph import (GraphNode, RecencyStore, VolumeSpec,
+from evdenoise.graph import (GraphNode, RecencyStore, VolumeSpec, WriteLog,
                              batch_neighbor_indices, brute_force_neighbors,
                              build_graph, features_from_batch_indices,
                              node_features_single, normalize_graph)
@@ -282,3 +282,34 @@ def test_batch_equals_oracle_property(seed, n, L, n_max, data):
     full_feats, full_mask = features_from_batch_indices(t, x, y, nbr, spec)
     np.testing.assert_array_equal(feats, full_feats[rows])
     np.testing.assert_array_equal(mask, full_mask[rows])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_write_log_equals_a_scan_of_the_writes(data):
+    # cell ids on a 3x2 grid, with 6 as the off-grid sentinel the batch
+    # search writes off-sensor events to
+    cells = np.array(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=40)),
+                     dtype=np.int64)
+    n = len(cells)
+    queries = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, n),
+                                           st.integers(0, n), st.booleans()),
+                                 min_size=1, max_size=20))
+    depth = data.draw(st.integers(1, 4))
+    cell, a, b, valid = (np.array(column) for column in zip(*queries))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    log = WriteLog(cells)
+    key = cell * log.n
+    last = log.last(key, hi, valid, depth)
+    count = log.count(key, lo, hi)
+    assert last.shape == (depth, len(queries))
+    np.testing.assert_array_equal(log.last(key, hi, valid), last[0])
+    for k in range(len(queries)):
+        earlier = [i for i in range(hi[k]) if cells[i] == cell[k]] if valid[k] else []
+        newest = earlier[::-1][:depth]
+        assert last[:, k].tolist() == newest + [-1] * (depth - len(newest))
+        assert count[k] == np.count_nonzero(cells[lo[k]: hi[k]] == cell[k])
+    final = {int(c): i for i, c in enumerate(cells)}
+    final_cells, final_writes = log.final()
+    assert final_cells.tolist() == sorted(final)
+    assert final_writes.tolist() == [final[c] for c in sorted(final)]

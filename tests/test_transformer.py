@@ -359,6 +359,34 @@ class TestPredictStream:
             assert len(held) <= np.count_nonzero(t[: block[-1] + 1] >= last - spec.T_us)
             assert np.all(held >= last - spec.T_us)
 
+    def test_run_batch_after_step_searches_only_the_last_time_window(self, monkeypatch):
+        # the store keeps every pixel's N_max most recent events, however
+        # old; a run_batch after a step fold gathers only the held events
+        # within T_us of the last one, the only ones that can be neighbors
+        rng = np.random.default_rng(19)
+        geom = SensorGeometry(10, 8)
+        spec = VolumeSpec(L=2, T_us=20_000, N_max=6)
+        stream = random_stream(rng, 400, geom=geom, t_max=400_000)
+        model = DenoiseModel(volume=spec, seed=0)
+        want, _ = predict_stream(stream, model, mode="seq")
+        searched = []
+        search = tf.batch_neighbor_indices
+
+        def recorded(t, *args, **kwargs):
+            searched.append(t)
+            return search(t, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "batch_neighbor_indices", recorded)
+        filt = ModelFilter(model, geom)
+        got = [filt.step(e) for e in stream.events[:300]]
+        last = stream.events[299].t
+        got += filt.run_batch(EventStream(stream.events[300:], geom)).tolist()
+        assert got == want.tolist()
+        t = searched[0]
+        assert t.min() >= last - spec.T_us
+        assert len(t) == len(stream) - 300 + sum(e.t >= last - spec.T_us
+                                                 for e in stream.events[:300])
+
     def test_out_of_bounds_skipped(self):
         model = DenoiseModel(seed=0)
         stream = EventStream([Event(0, 5, 5, 1), Event(1, 99, 5, 1)],
